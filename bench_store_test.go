@@ -79,11 +79,6 @@ func BenchmarkStoreConcurrent(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// Settle deferred durability so the measurement window sees a
-		// checkpointed store, not the prep's leftover writeback.
-		if err := s.Sync(); err != nil {
-			b.Fatal(err)
-		}
 	}
 	for _, hot := range []struct {
 		name  string

@@ -120,9 +120,9 @@ func main() {
 	defer ex.Close()
 	stopSignals := lab.NotifyShutdown(ex, os.Stderr)
 	defer stopSignals()
-	// The fatal path (check) bypasses the defers above; drain and sync the
+	// The fatal path (check) bypasses the defers above; drain and close the
 	// tiers there too, so even an interrupted or failed campaign leaves its
-	// finished cells checkpointed rather than waiting on log replay.
+	// finished cells in the store and its write-backs delivered.
 	cleanup = func() {
 		ex.Close()
 		ex.PrintCacheSummary(os.Stderr)

@@ -8,18 +8,14 @@
 //	labcache ls      [-dir DIR] [-type NAME] [-n N] [-full]
 //	labcache verify  [-dir DIR]
 //	labcache gc      [-dir DIR] [-max-age DUR] [-max-size BYTES]
-//	labcache migrate [-dir DIR]
 //	labcache export  [-dir DIR] [-o FILE]
 //	labcache import  [-dir DIR] [-i FILE]
 //
 // Every subcommand defaults -dir to $ACTIVEMEM_CACHE_DIR. verify exits
 // non-zero when any record fails its checksum, gc compacts the shard
 // segments (dropping stale duplicates and entries outside the age/size
-// policy), migrate upgrades a legacy single-segment directory to the
-// sharded layout (any read-write open — including the experiment CLIs' —
-// does this automatically; the subcommand exists to do it eagerly and
-// report what happened), and export/import move results between machines
-// as a checksum-verified tar bundle:
+// policy), and export/import move results between machines as a
+// checksum-verified tar bundle:
 //
 //	machine-a$ labcache export -dir ~/.cache/activemem -o results.tar
 //	machine-b$ labcache import -dir ~/.cache/activemem -i results.tar
@@ -55,8 +51,6 @@ func main() {
 		cmdVerify(args)
 	case "gc":
 		cmdGC(args)
-	case "migrate":
-		cmdMigrate(args)
 	case "export":
 		cmdExport(args)
 	case "import":
@@ -67,7 +61,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: labcache <stats|ls|verify|gc|migrate|export|import> [-dir DIR] [flags]
+	fmt.Fprintln(os.Stderr, `usage: labcache <stats|ls|verify|gc|export|import> [-dir DIR] [flags]
 run "labcache <subcommand> -h" for subcommand flags`)
 	os.Exit(2)
 }
@@ -100,7 +94,7 @@ func cmdStats(args []string) {
 	sum := s.Stats()
 	fmt.Printf("dir:     %s\n", sum.Dir)
 	fmt.Printf("schema:  %s\n", sum.Schema)
-	fmt.Printf("layout:  %s (%d shards)\n", sum.Layout, sum.Shards)
+	fmt.Printf("shards:  %d\n", sum.Shards)
 	fmt.Printf("entries: %d\n", sum.Entries)
 	fmt.Printf("size:    %s\n", units.FormatBytes(sum.Bytes))
 	if sum.Entries > 0 {
@@ -123,8 +117,8 @@ func cmdStats(args []string) {
 	fmt.Printf("ops (this open):\n")
 	fmt.Printf("  gets=%d puts=%d hot_hits=%d snapshot_hits=%d slow_gets=%d\n",
 		ops.Gets, ops.Puts, ops.HotHits, ops.SnapshotHits, ops.SlowGets)
-	fmt.Printf("  mutex_acqs=%d flock_acqs=%d group_commits=%d grouped_appends=%d\n",
-		ops.MutexAcqs, ops.FlockAcqs, ops.GroupCommits, ops.GroupedAppends)
+	fmt.Printf("  mutex_acqs=%d flock_acqs=%d group_commits=%d\n",
+		ops.MutexAcqs, ops.FlockAcqs, ops.GroupCommits)
 }
 
 func cmdLs(args []string) {
@@ -158,7 +152,7 @@ func cmdVerify(args []string) {
 	fs, dir := newFlags("verify")
 	fs.Parse(args)
 	// verify has a pinned exit-code contract for scripts and CI: 0 means
-	// every reachable record (segments and commit log) checks out, 1 means
+	// every record in every segment checks out, 1 means
 	// corruption was found, 2 means the store could not be read at all. It
 	// therefore opens the store itself instead of going through open(),
 	// whose log.Fatal would fold I/O errors into exit 1.
@@ -180,10 +174,6 @@ func cmdVerify(args []string) {
 	fmt.Printf("records: %d (%d live, %d superseded)\n", res.Records, res.Live,
 		res.Records-res.Live-res.Corrupt)
 	fmt.Printf("corrupt: %d\n", res.Corrupt)
-	if res.LogRecords > 0 || res.LogCorrupt > 0 {
-		fmt.Printf("commit log: %d records (%d reachable only here), %d corrupt (a read-write open replays and truncates it)\n",
-			res.LogRecords, res.LogLive, res.LogCorrupt)
-	}
 	if res.GarbageBytes > 0 {
 		fmt.Printf("garbage: %s of unparseable mid-segment bytes (gc will drop them)\n",
 			units.FormatBytes(res.GarbageBytes))
@@ -192,7 +182,7 @@ func cmdVerify(args []string) {
 		fmt.Printf("torn tail: %s (a read-write open will truncate it)\n",
 			units.FormatBytes(res.TornBytes))
 	}
-	if res.Corrupt > 0 || res.LogCorrupt > 0 || res.TornBytes > 0 || res.GarbageBytes > 0 {
+	if res.Corrupt > 0 || res.TornBytes > 0 || res.GarbageBytes > 0 {
 		os.Exit(1)
 	}
 	fmt.Println("ok")
@@ -211,24 +201,6 @@ func cmdGC(args []string) {
 	}
 	fmt.Printf("kept %d entries, evicted %d; segment %s -> %s\n",
 		res.Kept, res.Evicted, units.FormatBytes(res.BytesBefore), units.FormatBytes(res.BytesAfter))
-}
-
-func cmdMigrate(args []string) {
-	fs, dir := newFlags("migrate")
-	fs.Parse(args)
-	s := open(*dir, false)
-	defer s.Close()
-	migrated, n := s.MigratedOnOpen()
-	sum := s.Stats()
-	switch {
-	case migrated:
-		fmt.Printf("migrated %d entries to the sharded layout (%d shards)\n", n, sum.Shards)
-	case s.ResetOnOpen():
-		fmt.Println("store was stale (schema or layout mismatch); reset to an empty sharded store")
-	default:
-		fmt.Printf("already on layout %s (%d shards), %d entries; nothing to do\n",
-			sum.Layout, sum.Shards, sum.Entries)
-	}
 }
 
 func cmdExport(args []string) {

@@ -24,7 +24,7 @@
 // open, matching the usual metrics-are-public posture.
 //
 // On SIGINT/SIGTERM the server stops accepting connections, drains
-// in-flight requests for up to -drain, checkpoints the store and exits;
+// in-flight requests for up to -drain, closes the store and exits;
 // a second signal exits immediately.
 package main
 
@@ -149,10 +149,10 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}
-	// Checkpoint so the next open (or a labcache verify) sees every
-	// acknowledged record in the segments, not just the commit log.
+	// Every acknowledged put is already durable in its segment; closing
+	// releases the store's file handles and locks.
 	if err := st.Close(); err != nil {
 		log.Fatalf("store close: %v", err)
 	}
-	fmt.Fprintln(os.Stderr, "labcached: store checkpointed, bye")
+	fmt.Fprintln(os.Stderr, "labcached: store closed, bye")
 }

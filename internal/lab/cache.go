@@ -303,13 +303,12 @@ func (e *Executor) RemoteSummary() string {
 
 // StoreOpsSummary renders the disk tier's operation counters in the same
 // machine-readable key=value form as CacheSummary: where gets were served
-// (hot set / lock-free snapshot / locked slow path) and how well the
-// commit log amortised fsyncs (grouped_appends/group_commits is the
-// achieved group-commit batch size).
+// (hot set / lock-free snapshot / locked slow path) and how many segment
+// fsyncs acknowledged puts (group_commits).
 func (e *Executor) StoreOpsSummary() string {
 	c := e.cache.Counters()
-	return fmt.Sprintf("store: gets=%d puts=%d hot_hits=%d snapshot_hits=%d slow_gets=%d group_commits=%d grouped_appends=%d",
-		c.Gets, c.Puts, c.HotHits, c.SnapshotHits, c.SlowGets, c.GroupCommits, c.GroupedAppends)
+	return fmt.Sprintf("store: gets=%d puts=%d hot_hits=%d snapshot_hits=%d slow_gets=%d group_commits=%d",
+		c.Gets, c.Puts, c.HotHits, c.SnapshotHits, c.SlowGets, c.GroupCommits)
 }
 
 // PrintCacheSummary writes the cache epilogue every CLI prints to w, or

@@ -1,8 +1,7 @@
-// Graceful shutdown for campaign processes. An interrupt used to abandon
-// acknowledged-but-uncheckpointed work to the next open's commit-log
-// replay; now the CLIs ask the executor to stop dispatching, drain the
-// cells already running, and close the cache tiers (store checkpoint +
-// remote write-back drain) before exiting.
+// Graceful shutdown for campaign processes. On an interrupt the CLIs ask
+// the executor to stop dispatching, drain the cells already running, and
+// close the cache tiers (store handles + remote write-back drain) before
+// exiting, so every finished cell is persisted rather than recomputed.
 
 package lab
 

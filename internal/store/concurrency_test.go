@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -297,6 +299,103 @@ func TestStoreStressHelper(t *testing.T) {
 		s.Get(fmt.Sprintf("parent-%03d", i))
 		s.Get(key)
 	}
+}
+
+const killDirEnv = "ACTIVEMEM_STORE_KILL_DIR"
+
+// TestSIGKILLedWriterLosesNoAcknowledgedPut re-execs the test binary as a
+// writer that prints each key only after its Put returned, SIGKILLs it
+// mid-stream, and reopens the directory both read-only and read-write:
+// every printed key must be served and no record may fail its checksum.
+// A torn tail (the put the kill interrupted) is allowed.
+func TestSIGKILLedWriterLosesNoAcknowledgedPut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skip("cannot locate test binary:", err)
+	}
+	cmd := exec.Command(exe, "-test.run", "^TestStoreKillHelper$")
+	cmd.Env = append(os.Environ(), killDirEnv+"="+dir)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const killAfter = 60
+	var acked []string
+	sc := bufio.NewScanner(stdout)
+	for len(acked) < killAfter && sc.Scan() {
+		if key, ok := strings.CutPrefix(sc.Text(), "acked "); ok {
+			acked = append(acked, key)
+		}
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	for sc.Scan() { // keys acknowledged before the kill landed
+		if key, ok := strings.CutPrefix(sc.Text(), "acked "); ok {
+			acked = append(acked, key)
+		}
+	}
+	cmd.Wait()
+	if len(acked) < killAfter {
+		t.Fatalf("writer died after %d acknowledged puts, before the kill", len(acked))
+	}
+
+	check := func(s *Store) {
+		t.Helper()
+		for _, k := range acked {
+			wantEntry(t, s, k, "t", "payload-"+k)
+		}
+		res, err := s.Verify()
+		if err != nil || res.Corrupt != 0 || res.Live < len(acked) {
+			t.Fatalf("verify after SIGKILL = (%+v, %v), want >= %d live, 0 corrupt", res, err, len(acked))
+		}
+	}
+	ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ro)
+	ro.Close()
+	rw := openT(t, dir)
+	defer rw.Close()
+	check(rw)
+}
+
+// TestStoreKillHelper is the writer side of
+// TestSIGKILLedWriterLosesNoAcknowledgedPut; it only runs when re-exec'd
+// with the directory in the environment, and writes until it is killed.
+func TestStoreKillHelper(t *testing.T) {
+	dir := os.Getenv(killDirEnv)
+	if dir == "" {
+		t.Skip("helper: run via TestSIGKILLedWriterLosesNoAcknowledgedPut")
+	}
+	s, err := Open(dir, Options{Schema: testSchema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				key := fmt.Sprintf("kill-%d-%04d", g, i)
+				if _, err := s.Put(key, "t", []byte("payload-"+key)); err != nil {
+					t.Error(err)
+					return
+				}
+				fmt.Fprintf(os.Stdout, "acked %s\n", key)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestConcurrentGetsSpanShardsLockFree: many goroutines reading indexed

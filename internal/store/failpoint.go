@@ -16,8 +16,7 @@ import (
 // Operations a hook can intercept, passed as the op argument.
 const (
 	fpSegAppend = "seg-append" // shard segment record append
-	fpWALAppend = "wal-append" // commit-log record append
-	fpWALFsync  = "wal-fsync"  // commit-log group-commit fsync
+	fpSegFsync  = "seg-fsync"  // shard segment fsync acknowledging a put
 )
 
 // writeFaultFn decides the fate of one write: err != nil fails it, and

@@ -1,13 +1,11 @@
 // Error-path tests for the put pipeline, driven through the failpoint
-// seams (failpoint.go): a segment append, commit-log append or
-// group-commit fsync that fails must surface as a put error, must never
-// leave the store unreadable, and must never let a torn record be
-// served.
+// seams (failpoint.go): a segment append or segment fsync that fails must
+// surface as a put error, must never leave the store unreadable, and must
+// never let a torn record be served.
 package store
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,44 +82,17 @@ func TestPutSurfacesTornSegmentAppend(t *testing.T) {
 	wantEntry(t, s2, "key-b", "t", "payload-b")
 }
 
-// A commit-log append failure: the put must report it (the record is not
-// durably acknowledged) while the store stays readable and writable.
-func TestPutSurfacesCommitLogAppendFailure(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	defer s.Close()
-
-	failWrites(t, fpWALAppend, 0)
-	if _, err := s.Put("key-a", "t", []byte("payload-a")); !errors.Is(err, errInjected) {
-		t.Fatalf("Put under wal-append fault: err = %v, want %v", err, errInjected)
-	}
-	clearFaults()
-
-	// The segment append preceded the failed log append, so the record is
-	// visible in-process — the crash model tolerates an unacknowledged
-	// record at a tail — and the store keeps working.
-	wantEntry(t, s, "key-a", "t", "payload-a")
-	put(t, s, "key-b", "t", "payload-b")
-	wantEntry(t, s, "key-b", "t", "payload-b")
-	res, err := s.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Corrupt != 0 || res.LogCorrupt != 0 {
-		t.Fatalf("after recovery: %+v, want no corruption", res)
-	}
-}
-
-// A group-commit fsync failure: the put must report it, the synced
-// watermark must not advance past the failed fsync, and the next put's
-// group commit must cover the stranded append.
-func TestPutSurfacesCommitLogFsyncFailure(t *testing.T) {
+// A segment fsync failure: the put must report it (the record is not
+// durably acknowledged) and must not count as an acknowledging fsync,
+// while the store stays readable and writable and the record, already
+// appended, is served in-process and after a reopen.
+func TestPutSurfacesSegmentFsyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	defer s.Close()
 
 	fn := fsyncFaultFn(func(op string) error {
-		if op == fpWALFsync {
+		if op == fpSegFsync {
 			return errInjected
 		}
 		return nil
@@ -130,13 +101,19 @@ func TestPutSurfacesCommitLogFsyncFailure(t *testing.T) {
 	t.Cleanup(clearFaults)
 
 	if _, err := s.Put("key-a", "t", []byte("payload-a")); !errors.Is(err, errInjected) {
-		t.Fatalf("Put under wal-fsync fault: err = %v, want %v", err, errInjected)
+		t.Fatalf("Put under seg-fsync fault: err = %v, want %v", err, errInjected)
 	}
 	clearFaults()
+	if got := s.Counters().GroupCommits; got != 0 {
+		t.Fatalf("GroupCommits = %d after a failed fsync, want 0", got)
+	}
 
 	put(t, s, "key-b", "t", "payload-b")
 	wantEntry(t, s, "key-a", "t", "payload-a")
 	wantEntry(t, s, "key-b", "t", "payload-b")
+	if got := s.Counters().GroupCommits; got != 1 {
+		t.Fatalf("GroupCommits = %d, want 1", got)
+	}
 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -145,101 +122,32 @@ func TestPutSurfacesCommitLogFsyncFailure(t *testing.T) {
 	defer s2.Close()
 	wantEntry(t, s2, "key-a", "t", "payload-a")
 	wantEntry(t, s2, "key-b", "t", "payload-b")
+	if res, err := s2.Verify(); err != nil || res.Corrupt != 0 || res.Live != 2 {
+		t.Fatalf("verify = (%+v, %v), want 2 live, no corruption", res, err)
+	}
 }
 
-// Verify covers the commit log: records that only the log still holds (a
-// crash before any checkpoint) are counted, served read-only through the
-// overlay, and corruption in the log is flagged.
-func TestVerifyCountsCommitLogRecords(t *testing.T) {
+// TestPutIsDurableWithoutClose: a put is acknowledged by one fsync of its
+// own segment, so a store that is never closed — no flush at exit, no
+// second file to replay — leaves it for the next open to serve. A
+// duplicate put writes nothing and fsyncs nothing.
+func TestPutIsDurableWithoutClose(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	// keyB must land on a different shard than keyA, so truncating keyA's
-	// segment leaves keyB's intact.
-	const keyA = "key-a"
-	keyB := ""
-	for i := 0; keyB == ""; i++ {
-		if k := fmt.Sprintf("key-b%d", i); shardOf(k) != shardOf(keyA) {
-			keyB = k
+	s := openT(t, dir) // deliberately never closed
+	put(t, s, "key-a", "t", "payload-a")
+	if added, err := s.Put("key-a", "t", []byte("payload-a")); err != nil || added {
+		t.Fatalf("duplicate put = (%v, %v), want (false, nil)", added, err)
+	}
+	if got := s.Counters().GroupCommits; got != 1 {
+		t.Fatalf("GroupCommits = %d after one put, want 1", got)
+	}
+	for _, name := range []string{"commit.log", "commit.lock"} {
+		if _, err := os.Stat(filepath.Join(dir, shardsDirName, name)); !os.IsNotExist(err) {
+			t.Fatalf("open created %s (err = %v)", name, err)
 		}
 	}
-	put(t, s, keyA, "t", "payload-a")
-	put(t, s, keyB, "t", "payload-b")
-	// Abandon s without Close: no checkpoint, both records remain in the
-	// commit log. Simulate the crash losing keyA's un-fsynced segment
-	// write by truncating its shard segment back to a bare header.
-	_, segPath := refOf(t, s, keyA)
-	fi, err := os.Stat(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(segPath, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := encodeHeader(testSchema)
-	if fi.Size() <= int64(len(hdr)) {
-		t.Fatalf("segment %s unexpectedly bare", segPath)
-	}
-	if err := f.Truncate(int64(len(hdr))); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
-	ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	// keyA is gone from its segment but acknowledged in the log: the
-	// overlay serves it, and Verify counts it as log-only live.
-	wantEntry(t, ro, keyA, "t", "payload-a")
-	wantEntry(t, ro, keyB, "t", "payload-b")
-	res, err := ro.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LogRecords != 2 || res.LogLive != 1 || res.LogCorrupt != 0 {
-		t.Fatalf("log scan = %+v, want LogRecords=2 LogLive=1 LogCorrupt=0", res)
-	}
-	if res.Corrupt != 0 {
-		t.Fatalf("Corrupt = %d, want 0", res.Corrupt)
-	}
-	if got := ro.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-}
-
-// A flipped byte in a commit-log record fails its checksum: Verify
-// reports it and the overlay never serves it.
-func TestVerifyFlagsCorruptCommitLog(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	put(t, s, "key-a", "t", "payload-a")
-	// Abandon without Close, then flip a byte inside the log's one record.
-	logPath := filepath.Join(dir, shardsDirName, commitLogName)
-	b, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdrLen := len(encodeHeader(testSchema))
-	if len(b) <= hdrLen {
-		t.Fatalf("commit log holds no records (%d bytes)", len(b))
-	}
-	b[len(b)-5] ^= 0x40 // inside the payload/CRC region
-	if err := os.WriteFile(logPath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	res, err := ro.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LogCorrupt != 1 || res.LogLive != 0 {
-		t.Fatalf("log scan = %+v, want LogCorrupt=1 LogLive=0", res)
-	}
+	s2 := openT(t, dir)
+	defer s2.Close()
+	wantEntry(t, s2, "key-a", "t", "payload-a")
 }

@@ -8,8 +8,7 @@
 // does a map probe or a pread; a hot-set admission holds a stripe mutex),
 // while latency timing — the time.Now pairs around Get/Put — is gated on
 // telemetry.Active() so the lock-free read path stays lock-free and
-// near-free with the listener off. WAL fsyncs are always timed: a clock
-// read is noise against a disk flush.
+// near-free with the listener off.
 
 package store
 
@@ -31,15 +30,8 @@ var (
 		"Get latency by shard (hot set included; timing active only with telemetry on).",
 		"shard", numShards)
 	tmPutSeconds = telemetry.Default.NewHistogramVec("store_put_seconds",
-		"Put latency by shard, including the group-committed log fsync (timing active only with telemetry on).",
+		"Put latency by shard, including the segment fsync (timing active only with telemetry on).",
 		"shard", numShards)
-
-	tmWalFsyncSeconds = telemetry.Default.NewHistogram("store_wal_fsync_seconds",
-		"Commit-log fsync latency (one fsync acknowledges a whole commit group).")
-	tmWalGroupSize = telemetry.Default.NewHistogram("store_wal_group_commit_size",
-		"Appends acknowledged per commit-log fsync (group-commit batch size; unit = appends, bucket k = 2^k).")
-	tmWalCheckpoints = telemetry.Default.NewCounter("store_wal_checkpoints_total",
-		"Commit-log checkpoints (every shard segment fsynced, log truncated).")
 
 	tmHotAdmits = telemetry.Default.NewCounter("store_hot_admits_total",
 		"Hot-set admissions (entry accepted into probation).")

@@ -1,7 +1,6 @@
-// On-disk record format shared by every segment the store writes: the v1
-// single-segment layout, each v2 shard segment, and export bundles all use
+// On-disk record format shared by every shard segment and export bundle:
 // the same self-delimiting checksummed records behind one header, so bytes
-// move between layouts and machines without re-encoding.
+// move between stores and machines without re-encoding.
 package store
 
 import (
@@ -19,12 +18,10 @@ const (
 	fileMagic = "AMSTOR01"
 
 	// v1SegmentName is the legacy single-segment layout's one data file; a
-	// read-write Open migrates it into the sharded layout, a read-only Open
-	// serves it in place.
+	// read-write Open discards it as it discards a stale schema.
 	v1SegmentName = "results.seg"
-	// lockName is the store-wide lock file: v1 writers serialised every
-	// append through it; the sharded layout keeps it for layout-level
-	// operations (migration, fresh creation) only.
+	// lockName is the store-wide lock file, held only for layout-level
+	// operations (fresh creation, discarding a stale layout).
 	lockName = "LOCK"
 
 	// shardsDirName holds the sharded layout: one segment + lock file pair

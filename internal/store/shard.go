@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -102,12 +103,6 @@ type shard struct {
 	// that loaded the old state mid-swap can still finish its read.
 	retired []*os.File
 	reset   bool
-
-	// sg binds the shard to the store's commit log (wal.go): put appends
-	// here without fsyncing and settles durability through sg.commit
-	// after mu and the flock are released, so the shard accepts the next
-	// append while the group-committed log fsync is in flight.
-	sg *syncGroup
 }
 
 // openShard opens one shard's segment + lock pair and builds its index.
@@ -290,7 +285,7 @@ func (sh *shard) rescanLocked(truncateTorn bool) error {
 		sh.fInfo = fi
 	}
 	size := fi.Size()
-	hdrLen, scanned, index, overlay := st.hdrLen, st.size, st.index, st.tail
+	hdrLen, scanned, index, chain := st.hdrLen, st.size, st.index, st.tail
 	if hdrLen == 0 {
 		if size == 0 {
 			return nil
@@ -341,12 +336,12 @@ func (sh *shard) rescanLocked(truncateTorn bool) error {
 			return fmt.Errorf("store: segment reset to schema %q under this %q handle (reopen the store)",
 				onDisk, sh.schema)
 		}
-		index, overlay = map[string]entryRef{}, nil
+		index, chain = map[string]entryRef{}, nil
 		hdrLen, scanned = h, h
 	}
 	if size <= scanned {
 		if hdrLen != st.hdrLen || scanned != st.size {
-			sh.state.Store(&shardState{f: st.f, index: index, tail: overlay, hdrLen: hdrLen, size: scanned})
+			sh.state.Store(&shardState{f: st.f, index: index, tail: chain, hdrLen: hdrLen, size: scanned})
 		}
 		return nil
 	}
@@ -358,7 +353,7 @@ func (sh *shard) rescanLocked(truncateTorn bool) error {
 	for k, v := range index {
 		cloned[k] = v
 	}
-	for e := overlay; e != nil; e = e.next {
+	for e := chain; e != nil; e = e.next {
 		cloned[e.key] = e.ref
 	}
 	tail, _ := walkRecords(buf, scanned, func(off int64, rec parsedRecord, rst recStatus) {
@@ -462,6 +457,7 @@ func (sh *shard) put(key, typeName string, payload []byte, stamp int64) (added b
 		}
 	}
 	rec := encodeRecord(key, typeName, payload, stamp)
+	var f *os.File
 	sh.lock()
 	err = func() error {
 		defer sh.mu.Unlock()
@@ -483,26 +479,31 @@ func (sh *shard) put(key, typeName string, payload []byte, stamp int64) (added b
 			if err := sh.appendLocked(rec); err != nil {
 				return err
 			}
-			added = true
+			f, added = sh.state.Load().f, true
 			return nil
 		})
 	}()
 	if err != nil || !added {
 		return added, err
 	}
-	// Durability is settled outside mu and the flock through the store's
-	// commit log: the shard accepts the next append while the log fsync is
-	// in flight, and one group-committed fsync of that single file covers
-	// every concurrent put regardless of how many shards they landed on.
-	return true, sh.sg.commit(rec)
+	// Durability is settled outside mu and the flock, so the shard accepts
+	// the next append while this fsync is in flight. f stays valid: a
+	// compaction that swapped it out in the meantime synced the new
+	// segment, this record included, and retired handles stay open until
+	// Close.
+	if err := faultSync(fpSegFsync, f); err != nil {
+		return true, fmt.Errorf("store: %w", err)
+	}
+	sh.ops.groupCommits.Add(1)
+	return true, nil
 }
 
 // appendLocked writes one pre-encoded record at the committed tail and
 // publishes the extended state. Both sh.mu and the exclusive file lock are
 // held, and the published size must equal the file size. Durability is the
-// caller's job (sg.commit): in-process readers may briefly see a record the
-// disk has not acknowledged, which the crash model already tolerates — a
-// torn tail is truncated on the next open.
+// caller's job (put's fsync): in-process readers may briefly see a record
+// the disk has not acknowledged, which the crash model already tolerates —
+// a torn tail is truncated on the next open.
 func (sh *shard) appendLocked(rec []byte) error {
 	st := sh.state.Load()
 	if err := faultWriteAt(fpSegAppend, st.f, rec, st.size); err != nil {
@@ -627,7 +628,7 @@ func (sh *shard) liveRefs() []keyedRef {
 	for e := st.tail; e != nil; e = e.next {
 		all = append(all, keyedRef{e.key, e.ref})
 	}
-	sortRefsByOff(all)
+	sort.Slice(all, func(i, j int) bool { return all[i].ref.off < all[j].ref.off })
 	return all
 }
 

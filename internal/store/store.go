@@ -8,11 +8,10 @@
 // Layout: a cache directory holds a shards/ subdirectory with one
 // append-only segment file and one lock file per key-hash shard (plus a
 // LAYOUT stamp naming the shard routing), and a store-wide LOCK file used
-// only for layout-level operations — fresh creation and migration of the
-// legacy v1 single-segment layout, which a read-write Open upgrades in
-// place (see migrate.go). Each segment starts with a header naming the
-// binary format and the caller's schema version (the simulator/result
-// version stamp); entries follow as self-delimiting records:
+// only for layout-level operations (see layout.go). Each segment starts
+// with a header naming the binary format and the caller's schema version
+// (the simulator/result version stamp); entries follow as self-delimiting
+// records:
 //
 //	entryMagic  uint32   per-record sync marker
 //	keyLen      uint16
@@ -24,17 +23,19 @@
 //	payload     payloadLen bytes
 //	crc         uint32   IEEE CRC-32 of everything above
 //
-// Crash safety is by construction: records are appended with a single
-// write under an exclusive per-shard lock, so the only possible
-// inconsistency is a torn record at a segment's tail (a crashed writer),
-// which Open and the next writer truncate away. A corrupted record body
-// (bit rot, a flipped byte) fails its checksum and is skipped — the key
-// simply misses and its cell recomputes — while records after it stay
-// reachable: even when the damage hits a length field and desynchronises
-// parsing, the scan resynchronises on the next per-record magic marker
-// instead of giving up on the rest of the segment. Stale schema versions
-// discard the whole store at Open: results produced by a different
-// simulator version must never be served.
+// The segment is the log: a put appends its record with a single write
+// under an exclusive per-shard lock and fsyncs the segment before it is
+// acknowledged, so there is no second file to keep in step. The only
+// possible inconsistency is a torn record at a segment's tail (a crashed
+// writer), which Open and the next writer truncate away. A corrupted
+// record body (bit rot, a flipped byte) fails its checksum and is skipped
+// — the key simply misses and its cell recomputes — while records after it
+// stay reachable: even when the damage hits a length field and
+// desynchronises parsing, the scan resynchronises on the next per-record
+// magic marker instead of giving up on the rest of the segment. Stale
+// schema versions, and the legacy v1 single-segment layout, discard the
+// whole store at Open: results produced by a different simulator version
+// must never be served.
 //
 // Concurrency: one Store is safe for concurrent use by any number of
 // goroutines, and any number of processes (or Stores in one process) may
@@ -78,8 +79,7 @@ type Options struct {
 	Schema string
 	// ReadOnly opens for inspection: Get and the maintenance scans work,
 	// Put/GC/Import fail, and torn tails are tolerated rather than
-	// truncated. A read-only Open of a legacy v1 directory serves it in
-	// place instead of migrating.
+	// truncated.
 	ReadOnly bool
 	// HotBytes bounds the in-memory hot set in front of the shards; zero
 	// disables the memory tier entirely (every Get goes to the segment).
@@ -91,15 +91,14 @@ type Options struct {
 // that a Get of an indexed key acquires no mutex and no file lock — from
 // the outside.
 type opCounters struct {
-	gets           atomic.Uint64
-	puts           atomic.Uint64
-	hotHits        atomic.Uint64
-	snapshotHits   atomic.Uint64
-	slowGets       atomic.Uint64
-	mutexAcqs      atomic.Uint64
-	flockAcqs      atomic.Uint64
-	groupCommits   atomic.Uint64
-	groupedAppends atomic.Uint64
+	gets         atomic.Uint64
+	puts         atomic.Uint64
+	hotHits      atomic.Uint64
+	snapshotHits atomic.Uint64
+	slowGets     atomic.Uint64
+	mutexAcqs    atomic.Uint64
+	flockAcqs    atomic.Uint64
+	groupCommits atomic.Uint64
 }
 
 // OpCounters is a point-in-time snapshot of the store's operation
@@ -122,11 +121,9 @@ type OpCounters struct {
 	// FlockAcqs counts cross-process file-lock acquisitions (shard locks
 	// and the layout lock).
 	FlockAcqs uint64
-	// GroupCommits counts commit-log fsyncs; GroupedAppends counts the
-	// appends those fsyncs acknowledged. Their ratio is the achieved
-	// group-commit batch size: GroupedAppends/GroupCommits ≈ 1 means every
-	// put paid its own fsync, larger means concurrent puts amortised it.
-	GroupCommits, GroupedAppends uint64
+	// GroupCommits counts the segment fsyncs that acknowledged a put: one
+	// per put that appended a record.
+	GroupCommits uint64
 }
 
 // Store is an open result store. Methods are safe for concurrent use.
@@ -134,22 +131,10 @@ type Store struct {
 	dir      string
 	schema   string
 	readOnly bool
-	// legacy marks a read-only open of a v1 single-segment directory,
-	// served in place through one shard.
-	legacy bool
-	reset  bool
-	// migrated reports that this Open upgraded a v1 layout (migrate.go).
-	migrated        bool
-	migratedEntries int
+	reset    bool
 
-	shards []*shard
-	sg     *syncGroup
-	hot    *hotSet
-	// overlay, on read-only opens, indexes the commit log in memory so
-	// acknowledged-but-uncheckpointed records are served without the
-	// writable replay (see overlay.go); nil on writable opens, which
-	// recover the log into the segments instead.
-	overlay *walOverlay
+	shards  []*shard
+	hot     *hotSet
 	ops     opCounters
 	dirLock *os.File
 }
@@ -166,6 +151,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.HotBytes > 0 {
 		s.hot = newHotSet(opts.HotBytes)
 	}
+	shardsDir := filepath.Join(dir, shardsDirName)
 
 	if !opts.ReadOnly {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -176,10 +162,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		if s.dirLock, err = os.OpenFile(lockPath, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		// Layout decisions (fresh creation, v1 migration, stale tmp-dir
-		// cleanup) are store-wide and must not race sibling processes
-		// making the same decision; the per-shard locks only exist after
-		// this succeeds.
+		// Layout decisions (fresh creation, discarding a stale layout) are
+		// store-wide and must not race sibling processes making the same
+		// decision; the per-shard locks only exist after this succeeds.
 		s.ops.flockAcqs.Add(1)
 		if err := flockHeld(s.dirLock, lockPath, true, func() error {
 			return s.prepareLayoutLocked()
@@ -187,134 +172,29 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.dirLock.Close()
 			return nil, err
 		}
-	} else if fi, err := os.Stat(filepath.Join(dir, shardsDirName)); err != nil || !fi.IsDir() {
-		// No sharded layout: serve a legacy v1 directory in place (or fail
-		// the way opening its missing segment fails).
-		s.legacy = true
-	} else if err := checkLayoutStamp(filepath.Join(dir, shardsDirName, layoutName)); err != nil {
+	} else if fi, err := os.Stat(shardsDir); err != nil || !fi.IsDir() {
+		return nil, fmt.Errorf("store: %s holds no sharded store (a read-write open creates one)", dir)
+	} else if err := checkLayoutStamp(filepath.Join(shardsDir, layoutName)); err != nil {
 		return nil, err
 	}
 
-	if err := s.openShards(); err != nil {
-		if s.dirLock != nil {
-			s.dirLock.Close()
+	s.shards = make([]*shard, 0, numShards)
+	for i := 0; i < numShards; i++ {
+		sh, err := openShard(shardSegPath(shardsDir, i), shardLockPath(shardsDir, i),
+			s.schema, s.readOnly, &s.ops)
+		if err != nil {
+			s.Close()
+			return nil, err
 		}
-		return nil, err
-	}
-	for _, sh := range s.shards {
-		if sh.reset {
-			s.reset = true
-		}
+		s.shards = append(s.shards, sh)
+		s.reset = s.reset || sh.reset
 	}
 	return s, nil
 }
 
-// openShards opens every shard of the active layout and joins them into
-// one group-commit domain.
-func (s *Store) openShards() error {
-	if s.legacy {
-		sh, err := openShard(filepath.Join(s.dir, v1SegmentName),
-			filepath.Join(s.dir, lockName), s.schema, s.readOnly, &s.ops)
-		if err != nil {
-			return err
-		}
-		s.shards = []*shard{sh}
-	} else {
-		shardsDir := filepath.Join(s.dir, shardsDirName)
-		s.shards = make([]*shard, 0, numShards)
-		for i := 0; i < numShards; i++ {
-			sh, err := openShard(shardSegPath(shardsDir, i), shardLockPath(shardsDir, i),
-				s.schema, s.readOnly, &s.ops)
-			if err != nil {
-				for _, prev := range s.shards {
-					prev.closeFiles()
-				}
-				return err
-			}
-			s.shards = append(s.shards, sh)
-		}
-	}
-	s.sg = &syncGroup{shards: s.shards}
-	for _, sh := range s.shards {
-		sh.sg = s.sg
-	}
-	if !s.readOnly {
-		w, err := openWAL(filepath.Join(s.dir, shardsDirName), s.schema, &s.ops)
-		if err != nil {
-			for _, sh := range s.shards {
-				sh.closeFiles()
-			}
-			return err
-		}
-		s.sg.w = w
-		// Replay commits a crash left unreplicated into their segments,
-		// then truncate the log — this open's puts start from a clean one.
-		if err := s.sg.recover(); err != nil {
-			w.closeFiles()
-			for _, sh := range s.shards {
-				sh.closeFiles()
-			}
-			return err
-		}
-	} else if !s.legacy {
-		// Read-only opens may not replay the log into the segments; an
-		// in-memory overlay over commit.log serves what a crash left
-		// acknowledged but uncheckpointed. (Legacy v1 directories predate
-		// the log entirely.)
-		ov, err := openWALOverlay(filepath.Join(s.dir, shardsDirName), s.schema)
-		if err != nil {
-			for _, sh := range s.shards {
-				sh.closeFiles()
-			}
-			return err
-		}
-		s.overlay = ov
-	}
-	return nil
-}
-
-func shardSegPath(shardsDir string, i int) string {
-	return filepath.Join(shardsDir, fmt.Sprintf("shard-%02d.seg", i))
-}
-
-func shardLockPath(shardsDir string, i int) string {
-	return filepath.Join(shardsDir, fmt.Sprintf("shard-%02d.lock", i))
-}
-
-// checkLayoutStamp verifies the LAYOUT file matches this binary's shard
-// routing. A missing stamp (an interrupted creation) passes — the shards
-// themselves still verify — but a conflicting one means the directory was
-// written with a different shard count and every key would route wrong.
-func checkLayoutStamp(path string) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	if string(b) != layoutStamp {
-		return fmt.Errorf("store: %s does not match this binary's shard routing (have %q, want %q)",
-			path, strings.TrimSpace(string(b)), strings.TrimSpace(layoutStamp))
-	}
-	return nil
-}
-
 // shardFor routes a key to its shard.
 func (s *Store) shardFor(key string) *shard {
-	if s.legacy {
-		return s.shards[0]
-	}
 	return s.shards[shardOf(key)]
-}
-
-// shardIdx is the key's shard index for telemetry labelling (0 for a
-// legacy single-shard layout, matching where the op actually lands).
-func (s *Store) shardIdx(key string) int {
-	if s.legacy {
-		return 0
-	}
-	return shardOf(key)
 }
 
 // Get returns the entry for key, or ok == false when it is absent or its
@@ -328,7 +208,7 @@ func (s *Store) Get(key string) (typeName string, payload []byte, ok bool) {
 	var startNs int64
 	if telemetry.Active() {
 		startNs = telemetry.NowNs()
-		defer func() { tmGetSeconds.Observe(s.shardIdx(key), telemetry.NowNs()-startNs) }()
+		defer func() { tmGetSeconds.Observe(shardOf(key), telemetry.NowNs()-startNs) }()
 	}
 	if s.hot != nil {
 		if v, hit := s.hot.get(key); hit && v.payload != nil {
@@ -338,11 +218,6 @@ func (s *Store) Get(key string) (typeName string, payload []byte, ok bool) {
 		}
 	}
 	typeName, payload, ok = s.shardFor(key).get(key)
-	if !ok && s.overlay != nil {
-		// A key the segment scan did not surface may still sit in the
-		// commit log: acknowledged by a crashed writer, never checkpointed.
-		typeName, payload, ok = s.overlay.get(key)
-	}
 	if ok && s.hot != nil {
 		s.hot.add(key, typeName, payload, nil)
 	}
@@ -393,7 +268,7 @@ func (s *Store) Put(key, typeName string, payload []byte) (added bool, err error
 	var startNs int64
 	if telemetry.Active() {
 		startNs = telemetry.NowNs()
-		defer func() { tmPutSeconds.Observe(s.shardIdx(key), telemetry.NowNs()-startNs) }()
+		defer func() { tmPutSeconds.Observe(shardOf(key), telemetry.NowNs()-startNs) }()
 	}
 	added, err = s.shardFor(key).put(key, typeName, payload, time.Now().Unix())
 	if err == nil && s.hot != nil {
@@ -415,39 +290,16 @@ func (s *Store) Invalidate(key string) {
 	s.shardFor(key).invalidate(key)
 }
 
-// Sync is a durability barrier: it checkpoints the commit log, after
-// which every acknowledged put is durable in its own segment, the log is
-// empty, and no deferred writeback is pending. Campaign tools call it
-// before handing a cache directory to something that bypasses this
-// process (a snapshot, an rsync, a read-only consumer).
-func (s *Store) Sync() error {
-	if s.sg != nil && s.sg.w != nil {
-		return s.sg.checkpoint()
-	}
-	return nil
-}
-
-// Close checkpoints the commit log (making every segment durable on its
-// own and truncating the log) and releases the store's file handles.
+// Close releases the store's file handles. Every acknowledged put is
+// already durable in its segment, so there is nothing to flush.
 func (s *Store) Close() error {
 	var err error
-	if s.sg != nil && s.sg.w != nil {
-		err = s.sg.checkpoint()
-		if cerr := s.sg.w.closeFiles(); err == nil {
-			err = cerr
-		}
-	}
 	for _, sh := range s.shards {
 		sh.lock()
 		if cerr := sh.closeFiles(); err == nil {
 			err = cerr
 		}
 		sh.mu.Unlock()
-	}
-	if s.overlay != nil {
-		if cerr := s.overlay.close(); err == nil {
-			err = cerr
-		}
 	}
 	if s.dirLock != nil {
 		if cerr := s.dirLock.Close(); err == nil {
@@ -463,53 +315,30 @@ func (s *Store) Dir() string { return s.dir }
 // Schema returns the schema version the store was opened with.
 func (s *Store) Schema() string { return s.schema }
 
-// Len returns the number of live entries across all shards, plus any
-// overlay-only entries a read-only open found in the commit log.
+// Len returns the number of live entries across all shards.
 func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
 		n += sh.state.Load().live()
 	}
-	n += len(s.overlayOnlyKeys())
 	return n
 }
 
-// overlayOnlyKeys returns the overlay keys no shard index surfaces — the
-// records only the commit log still holds. Nil without an overlay.
-func (s *Store) overlayOnlyKeys() []string {
-	if s.overlay == nil {
-		return nil
-	}
-	var keys []string
-	for k := range s.overlay.index {
-		if _, hit := s.shardFor(k).state.Load().lookup(k); !hit {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
 // ResetOnOpen reports whether Open discarded previous contents because
-// their format or schema version did not match.
+// their format, layout or schema version did not match.
 func (s *Store) ResetOnOpen() bool { return s.reset }
-
-// MigratedOnOpen reports whether this Open upgraded a legacy v1
-// single-segment directory to the sharded layout, and how many entries it
-// carried over.
-func (s *Store) MigratedOnOpen() (bool, int) { return s.migrated, s.migratedEntries }
 
 // Counters returns a snapshot of the store's operation counters.
 func (s *Store) Counters() OpCounters {
 	return OpCounters{
-		Gets:           s.ops.gets.Load(),
-		Puts:           s.ops.puts.Load(),
-		HotHits:        s.ops.hotHits.Load(),
-		SnapshotHits:   s.ops.snapshotHits.Load(),
-		SlowGets:       s.ops.slowGets.Load(),
-		MutexAcqs:      s.ops.mutexAcqs.Load(),
-		FlockAcqs:      s.ops.flockAcqs.Load(),
-		GroupCommits:   s.ops.groupCommits.Load(),
-		GroupedAppends: s.ops.groupedAppends.Load(),
+		Gets:         s.ops.gets.Load(),
+		Puts:         s.ops.puts.Load(),
+		HotHits:      s.ops.hotHits.Load(),
+		SnapshotHits: s.ops.snapshotHits.Load(),
+		SlowGets:     s.ops.slowGets.Load(),
+		MutexAcqs:    s.ops.mutexAcqs.Load(),
+		FlockAcqs:    s.ops.flockAcqs.Load(),
+		GroupCommits: s.ops.groupCommits.Load(),
 	}
 }
 
@@ -536,11 +365,6 @@ type keyedRef struct {
 	ref entryRef
 }
 
-// sortRefsByOff orders refs by segment offset (one shard's write order).
-func sortRefsByOff(refs []keyedRef) {
-	sort.Slice(refs, func(i, j int) bool { return refs[i].ref.off < refs[j].ref.off })
-}
-
 // Entries lists live entries ordered by write stamp (oldest first), with
 // the key as tiebreak: with the keyspace spread over shards there is no
 // single segment order anymore, so the stamp is the one global ordering
@@ -552,11 +376,6 @@ func (s *Store) Entries() []EntryInfo {
 			out = append(out, EntryInfo{Key: k, Type: ref.typeName,
 				PayloadBytes: ref.payloadLen, Stamp: time.Unix(ref.stamp, 0)})
 		}
-	}
-	for _, k := range s.overlayOnlyKeys() {
-		ref := s.overlay.index[k]
-		out = append(out, EntryInfo{Key: k, Type: ref.typeName,
-			PayloadBytes: ref.payloadLen, Stamp: time.Unix(ref.stamp, 0)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Stamp.Equal(out[j].Stamp) {
@@ -577,20 +396,14 @@ type Summary struct {
 	Bytes          int64
 	PerType        map[string]int
 	Oldest, Newest time.Time
-	// Shards is the number of segment shards (1 for a legacy v1 directory
-	// opened read-only).
+	// Shards is the number of segment shards.
 	Shards int
-	// Layout names the on-disk layout: "sharded" or "v1".
-	Layout string
 }
 
 // Stats returns a summary of the store.
 func (s *Store) Stats() Summary {
 	sum := Summary{Dir: s.dir, Schema: s.schema, PerType: map[string]int{},
-		Shards: len(s.shards), Layout: "sharded"}
-	if s.legacy {
-		sum.Layout = "v1"
-	}
+		Shards: len(s.shards)}
 	for _, sh := range s.shards {
 		st := sh.state.Load()
 		if fi, err := st.f.Stat(); err == nil {
@@ -625,19 +438,9 @@ type VerifyResult struct {
 	// GarbageBytes counts mid-segment bytes the scan had to resynchronise
 	// past (e.g. a record whose length fields were corrupted).
 	GarbageBytes int64
-	// LogRecords is the number of complete records in the commit log
-	// (zero in the checkpointed steady state), LogLive how many entries
-	// are reachable only through the log — acknowledged puts a crash left
-	// out of the segments, which a writable open replays — and LogCorrupt
-	// how many log records failed their checksum. A torn log tail is not
-	// damage: it is an append that was never acknowledged.
-	LogRecords, LogLive, LogCorrupt int
 }
 
-// Verify re-reads every record in every shard and checks its checksum,
-// then scans the commit log the same way: after a crash the log is the
-// only home of acknowledged-but-uncheckpointed puts, so a verify that
-// skipped it would vouch for less than Get serves.
+// Verify re-reads every record in every shard and checks its checksum.
 func (s *Store) Verify() (VerifyResult, error) {
 	var res VerifyResult
 	for _, sh := range s.shards {
@@ -645,61 +448,7 @@ func (s *Store) Verify() (VerifyResult, error) {
 			return res, err
 		}
 	}
-	if err := s.verifyLog(&res); err != nil {
-		return res, err
-	}
-	// Re-read every overlay-only record (read-only opens of a crashed
-	// store), so LogLive counts exactly what Get will serve from the log.
-	for _, k := range s.overlayOnlyKeys() {
-		if _, _, ok := s.overlay.get(k); ok {
-			res.LogLive++
-		}
-	}
 	return res, nil
-}
-
-// verifyLog scans the commit log's records into res. The log is bounded
-// work — every checkpoint truncates it — and a log from another schema
-// (or one torn inside its header) vouches for nothing: the next writable
-// open discards it whole, so there is nothing in it a reader could be
-// served and it is skipped rather than reported.
-func (s *Store) verifyLog(res *VerifyResult) error {
-	if s.legacy {
-		return nil // v1 layouts predate the commit log
-	}
-	f, err := os.Open(filepath.Join(s.dir, shardsDirName, commitLogName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	size := fi.Size()
-	if size == 0 {
-		return nil
-	}
-	schema, hdrLen, err := readHeader(f)
-	if err != nil || schema != s.schema || size <= hdrLen {
-		return nil
-	}
-	buf := make([]byte, size-hdrLen)
-	if _, err := io.ReadFull(io.NewSectionReader(f, hdrLen, size-hdrLen), buf); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	walkRecords(buf, hdrLen, func(off int64, rec parsedRecord, st recStatus) {
-		switch st {
-		case recGood:
-			res.LogRecords++
-		case recBadCRC:
-			res.LogCorrupt++
-		}
-	})
-	return nil
 }
 
 // GCPolicy selects which entries a compaction keeps.
@@ -811,13 +560,6 @@ func (s *Store) GC(policy GCPolicy) (GCResult, error) {
 		res.Kept += kept
 		res.BytesAfter += bytesAfter
 	}
-	if s.sg != nil && s.sg.w != nil {
-		// The compacted segments are durable on their own; drop the log
-		// so a crash does not replay (and resurrect) evicted records.
-		if err := s.sg.checkpoint(); err != nil {
-			return res, err
-		}
-	}
 	return res, nil
 }
 
@@ -826,10 +568,9 @@ const bundleManifestName = "MANIFEST"
 
 // Export writes every live entry as a tar bundle: a MANIFEST naming the
 // format and schema, then one file per record (shard by shard, in each
-// shard's write order). Bundles move results between machines and across
-// layout versions — a bundle exported from a v1 store imports into a
-// sharded one unchanged, records being layout-agnostic; Import on the
-// receiving side verifies every checksum.
+// shard's write order). Bundles move results between machines; records
+// are layout-agnostic, and Import on the receiving side verifies every
+// checksum.
 func (s *Store) Export(w io.Writer) (int, error) {
 	type shardExport struct {
 		sh   *shard
@@ -933,10 +674,7 @@ func (s *Store) Import(r io.Reader) (added, skipped int, err error) {
 		if status != recGood || parsed.recLen != int64(len(rec)) {
 			return 0, 0, fmt.Errorf("store: bundle entry %q fails verification", hdr.Name)
 		}
-		i := 0
-		if !s.legacy {
-			i = shardOf(parsed.key)
-		}
+		i := shardOf(parsed.key)
 		perShard[i] = append(perShard[i], rec)
 	}
 

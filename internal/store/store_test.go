@@ -522,37 +522,66 @@ func TestEntriesAndStats(t *testing.T) {
 	if sum.Bytes != totalSegBytes(t, dir) {
 		t.Fatalf("stats bytes = %d, files = %d", sum.Bytes, totalSegBytes(t, dir))
 	}
-	if sum.Shards != numShards || sum.Layout != "sharded" {
-		t.Fatalf("stats layout = %d/%q", sum.Shards, sum.Layout)
+	if sum.Shards != numShards {
+		t.Fatalf("stats shards = %d, want %d", sum.Shards, numShards)
 	}
 }
 
-// TestReadOnlyOpenOfBareSegment: a directory holding only a copied v1
-// results.seg (no LOCK file, no shards/) is inspectable read-only,
-// lock-free, through the legacy single-segment mode.
-func TestReadOnlyOpenOfBareSegment(t *testing.T) {
-	// Synthesise a v1 segment directly: the current layout is sharded, so
-	// a legacy segment is built from records.
+// writeV1Segment synthesises a legacy v1 store: a single results.seg
+// holding one record, beside a LOCK file, with no shards/ directory.
+func writeV1Segment(t *testing.T, dir string) {
+	t.Helper()
 	seg := encodeHeader(testSchema)
 	seg = append(seg, encodeRecord("key-a", "t", []byte("alpha"), time.Now().Unix())...)
-
-	dst := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dst, v1SegmentName), seg, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, v1SegmentName), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	ro, err := Open(dst, Options{Schema: testSchema, ReadOnly: true})
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, lockName), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer ro.Close()
-	wantEntry(t, ro, "key-a", "t", "alpha")
-	if res, err := ro.Verify(); err != nil || res.Live != 1 || res.Corrupt != 0 {
-		t.Fatalf("verify = (%+v, %v)", res, err)
+}
+
+// TestReadOnlyOpenOfBareSegment: a directory holding only a legacy v1
+// results.seg (no shards/) is not a store this binary can serve, and a
+// read-only open says so instead of touching it.
+func TestReadOnlyOpenOfBareSegment(t *testing.T) {
+	dir := t.TempDir()
+	writeV1Segment(t, dir)
+	if ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true}); err == nil {
+		ro.Close()
+		t.Fatal("read-only open of a v1 directory succeeded")
 	}
-	if sum := ro.Stats(); sum.Layout != "v1" || sum.Shards != 1 {
-		t.Fatalf("stats layout = %q/%d, want v1/1", sum.Layout, sum.Shards)
+	if _, err := os.Stat(filepath.Join(dir, v1SegmentName)); err != nil {
+		t.Fatalf("read-only open disturbed the v1 segment: %v", err)
 	}
+}
+
+// TestV1SegmentDiscardedOnOpen: a read-write open treats a legacy v1
+// store like a stale schema — its segment is removed, the open reports a
+// reset, and the cells recompute into a fresh sharded store.
+func TestV1SegmentDiscardedOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	writeV1Segment(t, dir)
+	s := openT(t, dir)
+	if !s.ResetOnOpen() {
+		t.Fatal("v1 store did not report a reset")
+	}
+	if _, err := os.Stat(filepath.Join(dir, v1SegmentName)); !os.IsNotExist(err) {
+		t.Fatalf("v1 segment survived the open: %v", err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("v1 entries survived: %d", s.Len())
+	}
+	wantMiss(t, s, "key-a")
+	put(t, s, "key-a", "t", "alpha")
+	s.Close()
+
+	s2 := openT(t, dir)
+	defer s2.Close()
+	if s2.ResetOnOpen() {
+		t.Fatal("second open reported a reset")
+	}
+	wantEntry(t, s2, "key-a", "t", "alpha")
 }
 
 func TestOpenValidation(t *testing.T) {
