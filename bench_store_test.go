@@ -53,76 +53,70 @@ func runStoreBench(b *testing.B, g int, fn func(i int)) {
 }
 
 // BenchmarkStoreConcurrent measures the sharded store under goroutine
-// fan-out at three concurrency levels, with the in-memory hot set off
-// (pure snapshot/disk path) and on. The hot=off get numbers isolate the
-// lock-free read path; put throughput scales with the number of shard
-// flocks whose fsyncs can overlap.
+// fan-out at three concurrency levels. The get numbers isolate the
+// lock-free snapshot read path; put throughput scales with the number of
+// shard flocks whose fsyncs can overlap.
 func BenchmarkStoreConcurrent(b *testing.B) {
 	const prePopulated = 2048
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	open := func(b *testing.B, dir string, hotBytes int64) *store.Store {
+	open := func(b *testing.B, dir string) *store.Store {
 		b.Helper()
-		s, err := store.Open(dir, store.Options{Schema: "bench-v1", HotBytes: hotBytes})
+		s, err := store.Open(dir, store.Options{Schema: "bench-v1"})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return s
 	}
-	hotKeys := benchKeys(prePopulated, 0)
+	keys := benchKeys(prePopulated, 0)
 	prep := func(b *testing.B, s *store.Store) {
 		b.Helper()
-		for _, k := range hotKeys {
+		for _, k := range keys {
 			if _, err := s.Put(k, "bench.T", payload); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	for _, hot := range []struct {
-		name  string
-		bytes int64
-	}{{"hot=off", 0}, {"hot=on", 64 << 20}} {
-		for _, g := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("get/%s/g=%d", hot.name, g), func(b *testing.B) {
-				s := open(b, b.TempDir(), hot.bytes)
-				defer s.Close()
-				prep(b, s)
-				runStoreBench(b, g, func(i int) {
-					if _, _, ok := s.Get(hotKeys[i%prePopulated]); !ok {
-						b.Error("miss")
-					}
-				})
+	for _, g := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("get/g=%d", g), func(b *testing.B) {
+			s := open(b, b.TempDir())
+			defer s.Close()
+			prep(b, s)
+			runStoreBench(b, g, func(i int) {
+				if _, _, ok := s.Get(keys[i%prePopulated]); !ok {
+					b.Error("miss")
+				}
 			})
-			b.Run(fmt.Sprintf("put/%s/g=%d", hot.name, g), func(b *testing.B) {
-				s := open(b, b.TempDir(), hot.bytes)
-				defer s.Close()
-				fresh := benchKeys(b.N, 1<<20)
-				runStoreBench(b, g, func(i int) {
-					if _, err := s.Put(fresh[i], "bench.T", payload); err != nil {
+		})
+		b.Run(fmt.Sprintf("put/g=%d", g), func(b *testing.B) {
+			s := open(b, b.TempDir())
+			defer s.Close()
+			fresh := benchKeys(b.N, 1<<20)
+			runStoreBench(b, g, func(i int) {
+				if _, err := s.Put(fresh[i], "bench.T", payload); err != nil {
+					b.Error(err)
+				}
+			})
+		})
+		b.Run(fmt.Sprintf("mixed/g=%d", g), func(b *testing.B) {
+			s := open(b, b.TempDir())
+			defer s.Close()
+			prep(b, s)
+			fresh := benchKeys(b.N/8+1, 1<<20)
+			runStoreBench(b, g, func(i int) {
+				if i%8 == 7 {
+					if _, err := s.Put(fresh[i/8], "bench.T", payload); err != nil {
 						b.Error(err)
 					}
-				})
+					return
+				}
+				if _, _, ok := s.Get(keys[i%prePopulated]); !ok {
+					b.Error("miss")
+				}
 			})
-			b.Run(fmt.Sprintf("mixed/%s/g=%d", hot.name, g), func(b *testing.B) {
-				s := open(b, b.TempDir(), hot.bytes)
-				defer s.Close()
-				prep(b, s)
-				fresh := benchKeys(b.N/8+1, 1<<20)
-				runStoreBench(b, g, func(i int) {
-					if i%8 == 7 {
-						if _, err := s.Put(fresh[i/8], "bench.T", payload); err != nil {
-							b.Error(err)
-						}
-						return
-					}
-					if _, _, ok := s.Get(hotKeys[i%prePopulated]); !ok {
-						b.Error("miss")
-					}
-				})
-			})
-		}
+		})
 	}
 }
 
@@ -140,9 +134,7 @@ func init() {
 // BenchmarkWarmCampaignReplay measures the executor path a resumed
 // campaign takes: every cell already persisted, a fresh executor per
 // iteration (cold in-process memo, like a new process) re-serving the
-// whole campaign from the cache tiers. hot=on serves decoded values from
-// the admission-controlled memory tier; hot=off decodes from disk every
-// time.
+// whole campaign from the disk tier, decoding every cell.
 func BenchmarkWarmCampaignReplay(b *testing.B) {
 	const cells = 256
 	mk := func(i int) benchReplayResult {
@@ -155,54 +147,46 @@ func BenchmarkWarmCampaignReplay(b *testing.B) {
 		}
 		return r
 	}
-	for _, hot := range []struct {
-		name  string
-		bytes int64
-	}{{"hot=off", 0}, {"hot=on", 64 << 20}} {
-		b.Run(hot.name, func(b *testing.B) {
-			dir := b.TempDir()
-			st, err := lab.OpenCacheSized(dir, hot.bytes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seed := lab.New(lab.Config{Workers: 2, Cache: st})
-			for i := 0; i < cells; i++ {
-				i := i
-				if _, err := lab.Memo(seed, lab.KeyOf("replay-cell", i), func() (benchReplayResult, error) {
-					return mk(i), nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			seed.Close()
-			st.Close()
+	dir := b.TempDir()
+	st, err := lab.OpenCache(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed := lab.New(lab.Config{Workers: 2, Cache: st})
+	for i := 0; i < cells; i++ {
+		i := i
+		if _, err := lab.Memo(seed, lab.KeyOf("replay-cell", i), func() (benchReplayResult, error) {
+			return mk(i), nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	seed.Close()
+	st.Close()
 
-			// Reopen once: the store handle persists across replays (the
-			// resident-pool model), but each iteration's executor starts
-			// with an empty in-process memo, so every cell goes to the
-			// store's tiers.
-			st, err = lab.OpenCacheSized(dir, hot.bytes)
-			if err != nil {
-				b.Fatal(err)
+	// Reopen once: the store handle persists across replays (the
+	// resident-pool model), but each iteration's executor starts with an
+	// empty in-process memo, so every cell goes to the store.
+	st, err = lab.OpenCache(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		ex := lab.New(lab.Config{Workers: 2, Cache: st})
+		for i := 0; i < cells; i++ {
+			v, err := lab.Memo(ex, lab.KeyOf("replay-cell", i), func() (benchReplayResult, error) {
+				return benchReplayResult{}, fmt.Errorf("warm replay must not compute")
+			})
+			if err != nil || len(v.Levels) != 256 {
+				b.Fatal("cell not served from cache")
 			}
-			defer st.Close()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				ex := lab.New(lab.Config{Workers: 2, Cache: st})
-				for i := 0; i < cells; i++ {
-					v, err := lab.Memo(ex, lab.KeyOf("replay-cell", i), func() (benchReplayResult, error) {
-						return benchReplayResult{}, fmt.Errorf("warm replay must not compute")
-					})
-					if err != nil || len(v.Levels) != 256 {
-						b.Fatal("cell not served from cache")
-					}
-				}
-				stats := ex.Stats()
-				if stats.Computed != 0 {
-					b.Fatalf("replay computed %d cells", stats.Computed)
-				}
-				ex.Close()
-			}
-		})
+		}
+		stats := ex.Stats()
+		if stats.Computed != 0 {
+			b.Fatalf("replay computed %d cells", stats.Computed)
+		}
+		ex.Close()
 	}
 }

@@ -115,8 +115,8 @@ func cmdStats(args []string) {
 	// under -telemetry).
 	ops := s.Counters()
 	fmt.Printf("ops (this open):\n")
-	fmt.Printf("  gets=%d puts=%d hot_hits=%d snapshot_hits=%d slow_gets=%d\n",
-		ops.Gets, ops.Puts, ops.HotHits, ops.SnapshotHits, ops.SlowGets)
+	fmt.Printf("  gets=%d puts=%d snapshot_hits=%d slow_gets=%d\n",
+		ops.Gets, ops.Puts, ops.SnapshotHits, ops.SlowGets)
 	fmt.Printf("  mutex_acqs=%d flock_acqs=%d group_commits=%d\n",
 		ops.MutexAcqs, ops.FlockAcqs, ops.GroupCommits)
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	labcached [-addr HOST:PORT] [-dir DIR] [-cache-mem BYTES] [-drain DUR]
+//	labcached [-addr HOST:PORT] [-dir DIR] [-drain DUR]
 //	          [-auth-token TOK] [-coord] [-lease-ttl DUR] [-steal-after DUR]
 //	          [-policy first-error|keep-going] [-max-retries N]
 //
@@ -53,8 +53,6 @@ func main() {
 		addr = flag.String("addr", "127.0.0.1:8344", "listen address (use :0 for an ephemeral port)")
 		dir  = flag.String("dir", os.Getenv("ACTIVEMEM_CACHE_DIR"),
 			"result store directory to serve (default $ACTIVEMEM_CACHE_DIR)")
-		cacheMem = flag.Int64("cache-mem", -1,
-			"in-memory hot-set budget for the served store in bytes, 0 to disable (default $ACTIVEMEM_CACHE_MEM or 64MiB)")
 		drain = flag.Duration("drain", 10*time.Second,
 			"in-flight request drain budget on shutdown")
 		authToken = flag.String("auth-token", remote.TokenFromEnv(),
@@ -77,22 +75,18 @@ func main() {
 	if *dir == "" {
 		log.Fatal("no store directory: set -dir or $ACTIVEMEM_CACHE_DIR")
 	}
-	if *cacheMem < 0 {
-		*cacheMem = lab.HotBytesFromEnv()
-	}
 
-	st, err := lab.OpenCacheSized(*dir, *cacheMem)
+	st, err := lab.OpenCache(*dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// One mux: the cell protocol beside the stock telemetry surface.
 	// Serving /metrics from the same registry the remote/store packages
-	// register on means server-side request counters, store op counters
-	// and hot-set stats are all scrapeable without extra wiring.
+	// register on means server-side request counters and store op counters
+	// are all scrapeable without extra wiring.
 	telemetry.SetActive(true)
 	telemetry.Default.AddStatus("store_ops", func() any { return st.Counters() })
-	telemetry.Default.AddStatus("store_hot", func() any { return st.HotStats() })
 	telemetry.Default.AddStatus("labcached", func() any {
 		return map[string]any{"dir": st.Dir(), "entries": st.Len(), "schema": st.Schema()}
 	})

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	validate [-scale N] [-grid smoke|quick|paper] [-fig all|table1,table2,3a,5,6,7,8]
-//	         [-seed N] [-j N] [-progress] [-csvdir DIR] [-cache-dir DIR] [-cache-mem BYTES]
+//	         [-seed N] [-j N] [-progress] [-csvdir DIR] [-cache-dir DIR]
 //	         [-cache-url URL] [-worker-of URL] [-cpuprofile FILE] [-memprofile FILE]
 //
 // The default -scale 1 runs the full Xeon20MB geometry. -grid paper runs
@@ -54,8 +54,6 @@ func main() {
 		csvdir   = flag.String("csvdir", "", "also write each table as CSV into this directory")
 		cacheDir = flag.String("cache-dir", os.Getenv("ACTIVEMEM_CACHE_DIR"),
 			"persist results to this on-disk store and resume from it (default $ACTIVEMEM_CACHE_DIR)")
-		cacheMem = flag.Int64("cache-mem", -1,
-			"in-memory hot-set budget for the cache in bytes, 0 to disable (default $ACTIVEMEM_CACHE_MEM or 64MiB)")
 		cacheURL = flag.String("cache-url", os.Getenv("ACTIVEMEM_CACHE_URL"),
 			"also consult a labcached server at this URL as a best-effort remote tier (default $ACTIVEMEM_CACHE_URL)")
 		workerOf = flag.String("worker-of", os.Getenv("ACTIVEMEM_FLEET_URL"),
@@ -72,14 +70,8 @@ func main() {
 	// One executor for every figure: its memo cache deduplicates identical
 	// cells across figures (Fig. 5's grid is the k=0 slice of Fig. 6's),
 	// and the optional disk tier shares them across runs and machines.
-	if *cacheMem < 0 {
-		*cacheMem = lab.HotBytesFromEnv()
-	}
-	cache, err := lab.OpenCacheSized(*cacheDir, *cacheMem)
+	cache, err := lab.OpenCache(*cacheDir)
 	check(err)
-	if cache != nil {
-		defer cache.Close()
-	}
 	// A fleet worker publishes results through the shared cache its peers
 	// read from; the coordinator address doubles as that cache unless the
 	// operator split them explicitly (labcached -coord serves both).
@@ -88,27 +80,24 @@ func main() {
 	}
 	rc, err := lab.OpenRemote(*cacheURL)
 	check(err)
-	defer rc.Close()
 	fc, err := lab.OpenFleet(*workerOf)
 	check(err)
-	if fc != nil {
-		defer fc.Close()
-	}
 	ex := lab.New(lab.Config{Workers: *jobs, Progress: lab.StderrProgress(*progress),
 		Cache: cache, Remote: rc, Fleet: fc})
-	defer ex.Close()
 	stopSignals := lab.NotifyShutdown(ex, os.Stderr)
 	defer stopSignals()
-	// The fatal path (check) bypasses the defers above; drain and close the
-	// tiers there too, so even an interrupted or failed campaign leaves its
-	// finished cells in the store and its write-backs delivered.
+	// Every exit path — the end of main and the fatal path (check) alike —
+	// drains and closes the tiers, so even an interrupted or failed
+	// campaign leaves its finished cells in the store and its write-backs
+	// delivered. The epilogue is printed only after the remote tier has
+	// drained, so its write-back counters are final.
 	cleanup = func() {
 		ex.Close()
-		ex.PrintCacheSummary(os.Stderr)
 		if fc != nil {
 			fc.Close()
 		}
 		rc.Close()
+		ex.PrintCacheSummary(os.Stderr)
 		if cache != nil {
 			cache.Close()
 		}
@@ -172,7 +161,7 @@ func main() {
 		check(err)
 		emit("fig8", r.Table())
 	}
-	ex.PrintCacheSummary(os.Stderr)
+	cleanup()
 	if *progress {
 		ex.PrintPoolSummary(os.Stderr)
 	}
@@ -192,8 +181,9 @@ func parseGrid(s string) experiments.Grid {
 	}
 }
 
-// cleanup, when set, drains the executor and syncs the cache tiers; the
-// fatal exits below run it because log.Fatal/os.Exit skip the defers.
+// cleanup, when set, drains the executor, closes the cache tiers and prints
+// the epilogue. main ends with it, and the fatal exits below run it because
+// log.Fatal/os.Exit skip the defers.
 var cleanup func()
 
 func check(err error) {

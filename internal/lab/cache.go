@@ -1,10 +1,9 @@
 // The executor's persistent cache tiers. The in-memory memo (lab.go) makes
 // identical cells run once per process; attaching a store.Store makes them
 // run once per cache directory; attaching a remote.Client makes them run
-// once per labcached deployment: Do consults the in-process memo, then the
-// store's in-memory hot set (decoded values, no segment read), then disk,
-// then the remote cache, then computes — persisting what it computed to
-// the local store and (asynchronously, best-effort) to the remote one.
+// once per labcached deployment: Do consults the in-process memo, then
+// disk, then the remote cache, then computes — persisting what it computed
+// to the local store and (asynchronously, best-effort) to the remote one.
 // Values cross the disk and wire boundaries through a registry of typed
 // codecs, so every result struct that flows through Memo (core.Metrics,
 // cluster.Result, …) registers itself once and round-trips exactly (gob
@@ -18,9 +17,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"reflect"
-	"strconv"
 	"sync"
 
 	"activemem/internal/remote"
@@ -107,9 +104,7 @@ func init() {
 	RegisterResult[bool]("go.bool")
 }
 
-// cacheGet looks key up in the cache tiers, nearest first: the store's
-// in-memory hot set — a hit there carries the already-decoded value,
-// skipping both the segment read and the gob decode — then the disk
+// cacheGet looks key up in the cache tiers, nearest first: the disk
 // segments, then the remote cache. Any failure — no cache, a miss, an
 // unregistered type name, a decode error, a sick remote server — reports
 // a miss and lets the cell recompute. A disk record that decodes no
@@ -117,18 +112,11 @@ func init() {
 // invalidated so the recomputed result can replace it; an unknown type
 // name is left alone, since a different binary sharing the directory may
 // still decode it. The tier return distinguishes the tiers for Stats
-// (tierHot, tierDisk or tierRemote).
+// (tierDisk or tierRemote).
 func (e *Executor) cacheGet(key Key) (v any, tier int, ok bool) {
 	if e.cache != nil {
-		if v, ok := e.cache.GetDecoded(string(key)); ok {
-			return v, tierHot, true
-		}
 		if typeName, payload, ok := e.cache.Get(string(key)); ok {
 			if v, ok := decodePayload(typeName, payload); ok {
-				// Pay the decode once: attach the value so the hot set can
-				// serve the next Do for this key — from any executor on this
-				// store — directly.
-				e.cache.AddDecoded(string(key), v, int64(len(payload)))
 				return v, tierDisk, true
 			}
 			e.cache.Invalidate(string(key))
@@ -137,13 +125,10 @@ func (e *Executor) cacheGet(key Key) (v any, tier int, ok bool) {
 	if e.remote != nil {
 		if typeName, payload, ok := e.remote.Get(string(key)); ok {
 			if v, ok := decodePayload(typeName, payload); ok {
-				// Pull the record into the local tiers so the next process
-				// on this cache dir — and the next Do in this one — never
-				// crosses the network for it again.
+				// Pull the record into the local store so the next process
+				// on this cache dir never crosses the network for it again.
 				if e.cache != nil {
-					if _, err := e.cache.Put(string(key), typeName, payload); err == nil {
-						e.cache.AddDecoded(string(key), v, int64(len(payload)))
-					}
+					e.cache.Put(string(key), typeName, payload)
 				}
 				return v, tierRemote, true
 			}
@@ -201,10 +186,7 @@ func (e *Executor) cachePutMode(key Key, v any, syncRemote bool) bool {
 	}
 	added := false
 	if e.cache != nil {
-		added, err = e.cache.Put(string(key), c.name, payload)
-		if err == nil {
-			e.cache.AddDecoded(string(key), v, int64(len(payload)))
-		} else {
+		if added, err = e.cache.Put(string(key), c.name, payload); err != nil {
 			added = false
 		}
 	}
@@ -237,43 +219,23 @@ func OpenRemote(urlStr string) (*remote.Client, error) {
 	return remote.New(remote.OptionsFromEnv(urlStr, ResultSchemaVersion))
 }
 
-// DefaultHotBytes is the in-memory hot-set budget a cache opens with when
-// neither the ACTIVEMEM_CACHE_MEM environment variable nor an explicit
-// -cache-mem setting overrides it.
-const DefaultHotBytes = 64 << 20
-
-// HotBytesFromEnv resolves the hot-set budget from ACTIVEMEM_CACHE_MEM
-// (bytes; "0" disables the in-memory tier). Unset or unparsable values
-// fall back to DefaultHotBytes.
-func HotBytesFromEnv() int64 {
-	v := os.Getenv("ACTIVEMEM_CACHE_MEM")
-	if v == "" {
-		return DefaultHotBytes
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return DefaultHotBytes
-	}
-	return n
-}
-
 // OpenCache opens the persistent result store in dir under the current
 // ResultSchemaVersion — the one way the CLIs and the facade resolve a
 // -cache-dir / MeasureOptions.CacheDir setting, so the schema stamp can
-// never diverge between them. The hot-set budget comes from
-// ACTIVEMEM_CACHE_MEM. An empty dir returns (nil, nil): caching disabled.
+// never diverge between them. An empty dir returns (nil, nil): caching
+// disabled.
 func OpenCache(dir string) (*store.Store, error) {
-	return OpenCacheSized(dir, HotBytesFromEnv())
-}
-
-// OpenCacheSized is OpenCache with an explicit hot-set budget in bytes
-// (0 disables the in-memory tier), for the CLIs' -cache-mem flag.
-func OpenCacheSized(dir string, hotBytes int64) (*store.Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	return store.Open(dir, store.Options{Schema: ResultSchemaVersion, HotBytes: hotBytes})
+	return store.Open(dir, store.Options{Schema: ResultSchemaVersion})
 }
+
+// OpenCacheSized and HotBytesFromEnv are kept only for perfbench's store
+// probes, which predate the removal of the store's sized memory tier; the
+// size is ignored. New callers use OpenCache.
+func OpenCacheSized(dir string, _ int64) (*store.Store, error) { return OpenCache(dir) }
+func HotBytesFromEnv() int64                                   { return 0 }
 
 // CacheSummary renders the memo counters in the machine-readable form the
 // CLIs print (and CI's resume-smoke step parses) when a cache directory is
@@ -283,8 +245,8 @@ func OpenCacheSized(dir string, hotBytes int64) (*store.Store, error) {
 // parsers that walk key=value pairs keep working.
 func (e *Executor) CacheSummary() string {
 	st := e.Stats()
-	s := fmt.Sprintf("cache: computed=%d disk_hits=%d hot_hits=%d mem_hits=%d persisted=%d",
-		st.Computed, st.DiskHits, st.HotHits, st.Hits, st.Persisted)
+	s := fmt.Sprintf("cache: computed=%d disk_hits=%d mem_hits=%d persisted=%d",
+		st.Computed, st.DiskHits, st.Hits, st.Persisted)
 	if e.remote != nil {
 		s += fmt.Sprintf(" remote_hits=%d", st.RemoteHits)
 	}
@@ -303,12 +265,12 @@ func (e *Executor) RemoteSummary() string {
 
 // StoreOpsSummary renders the disk tier's operation counters in the same
 // machine-readable key=value form as CacheSummary: where gets were served
-// (hot set / lock-free snapshot / locked slow path) and how many segment
-// fsyncs acknowledged puts (group_commits).
+// (lock-free snapshot / locked slow path) and how many segment fsyncs
+// acknowledged puts (group_commits).
 func (e *Executor) StoreOpsSummary() string {
 	c := e.cache.Counters()
-	return fmt.Sprintf("store: gets=%d puts=%d hot_hits=%d snapshot_hits=%d slow_gets=%d group_commits=%d",
-		c.Gets, c.Puts, c.HotHits, c.SnapshotHits, c.SlowGets, c.GroupCommits)
+	return fmt.Sprintf("store: gets=%d puts=%d snapshot_hits=%d slow_gets=%d group_commits=%d",
+		c.Gets, c.Puts, c.SnapshotHits, c.SlowGets, c.GroupCommits)
 }
 
 // PrintCacheSummary writes the cache epilogue every CLI prints to w, or

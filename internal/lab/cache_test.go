@@ -277,19 +277,18 @@ func TestKeyOfAcceptsStableArguments(t *testing.T) {
 	}
 }
 
-// TestHotTierServesSecondExecutor: with a hot-set budget, a second
-// executor on the same store serves a cell from the in-memory tier with
-// the decoded value attached — a hot hit, not a disk hit — because both
-// cachePut and the first disk read attach decoded values.
-func TestHotTierServesSecondExecutor(t *testing.T) {
-	st, err := OpenCacheSized(t.TempDir(), 1<<20)
+// TestSecondExecutorServedFromDisk: a second executor on the same store
+// has its own empty memo, so it serves a cell persisted by the first from
+// the disk tier rather than recomputing it.
+func TestSecondExecutorServedFromDisk(t *testing.T) {
+	st, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	e1 := New(Config{Cache: st})
 	want := cacheResult{A: 3, B: 1.25, C: []float64{9}}
-	key := KeyOf("hot-cell", 1)
+	key := KeyOf("disk-cell", 1)
 	if _, err := Memo(e1, key, func() (cacheResult, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -299,57 +298,16 @@ func TestHotTierServesSecondExecutor(t *testing.T) {
 		return cacheResult{}, fmt.Errorf("must not run")
 	})
 	if err != nil || v.A != want.A || v.B != want.B {
-		t.Fatalf("hot tier round trip = (%+v, %v)", v, err)
+		t.Fatalf("disk tier round trip = (%+v, %v)", v, err)
 	}
-	if s := e2.Stats(); s.HotHits != 1 || s.DiskHits != 0 || s.Computed != 0 {
-		t.Fatalf("warm stats = %+v, want the one call to be a hot hit", s)
-	}
-	if hs := st.HotStats(); hs.Entries == 0 {
-		t.Fatalf("store hot stats = %+v", hs)
-	}
-}
-
-// TestDiskReadAttachesDecodedValue: after one disk-tier read, the next
-// executor gets a hot hit — the decode happened once.
-func TestDiskReadAttachesDecodedValue(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenCacheSized(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := New(Config{Cache: st})
-	key := KeyOf("attach-cell")
-	if _, err := Memo(e1, key, func() (float64, error) { return 4.5, nil }); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	// A fresh handle starts with a cold hot set: the first read comes from
-	// disk and attaches, the second executor hits memory.
-	st2, err := OpenCacheSized(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	e2 := New(Config{Cache: st2})
-	if _, err := Memo(e2, key, func() (float64, error) { return 0, fmt.Errorf("no") }); err != nil {
-		t.Fatal(err)
-	}
-	if s := e2.Stats(); s.DiskHits != 1 || s.HotHits != 0 {
-		t.Fatalf("first warm read stats = %+v, want a disk hit", s)
-	}
-	e3 := New(Config{Cache: st2})
-	if _, err := Memo(e3, key, func() (float64, error) { return 0, fmt.Errorf("no") }); err != nil {
-		t.Fatal(err)
-	}
-	if s := e3.Stats(); s.HotHits != 1 || s.DiskHits != 0 {
-		t.Fatalf("second warm read stats = %+v, want a hot hit", s)
+	if s := e2.Stats(); s.DiskHits != 1 || s.Computed != 0 {
+		t.Fatalf("warm stats = %+v, want the one call to be a disk hit", s)
 	}
 }
 
 // TestCacheSummaryReportsTiers pins the epilogue format CI parses.
 func TestCacheSummaryReportsTiers(t *testing.T) {
-	st, err := OpenCacheSized(t.TempDir(), 1<<20)
+	st, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,28 +317,8 @@ func TestCacheSummaryReportsTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := e.CacheSummary()
-	want := "cache: computed=1 disk_hits=0 hot_hits=0 mem_hits=0 persisted=1"
+	want := "cache: computed=1 disk_hits=0 mem_hits=0 persisted=1"
 	if got != want {
 		t.Fatalf("CacheSummary = %q, want %q", got, want)
-	}
-}
-
-// TestHotBytesFromEnv pins the ACTIVEMEM_CACHE_MEM contract.
-func TestHotBytesFromEnv(t *testing.T) {
-	t.Setenv("ACTIVEMEM_CACHE_MEM", "")
-	if got := HotBytesFromEnv(); got != DefaultHotBytes {
-		t.Fatalf("unset = %d, want default %d", got, DefaultHotBytes)
-	}
-	t.Setenv("ACTIVEMEM_CACHE_MEM", "0")
-	if got := HotBytesFromEnv(); got != 0 {
-		t.Fatalf("\"0\" = %d, want 0 (disabled)", got)
-	}
-	t.Setenv("ACTIVEMEM_CACHE_MEM", "1048576")
-	if got := HotBytesFromEnv(); got != 1<<20 {
-		t.Fatalf("1048576 = %d", got)
-	}
-	t.Setenv("ACTIVEMEM_CACHE_MEM", "not-a-number")
-	if got := HotBytesFromEnv(); got != DefaultHotBytes {
-		t.Fatalf("garbage = %d, want default", got)
 	}
 }

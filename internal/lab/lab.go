@@ -138,9 +138,9 @@ type Config struct {
 	// processes) may share one cache directory; see package store.
 	Cache *store.Store
 	// Remote, when non-nil, is the network tier behind the disk tier
-	// (open with OpenRemote): Do consults memory → hot set → disk →
-	// remote → compute, and write-backs of computed cells flow to the
-	// server asynchronously. The tier is strictly best-effort — a down,
+	// (open with OpenRemote): Do consults memory → disk → remote →
+	// compute, and write-backs of computed cells flow to the server
+	// asynchronously. The tier is strictly best-effort — a down,
 	// slow, flaky or corrupting server degrades lookups to misses within
 	// the client's deadline budget and can never fail a campaign or
 	// change its bytes (see package remote). The executor does not own
@@ -205,7 +205,6 @@ type Executor struct {
 	computed   int
 	hits       int
 	diskHits   int
-	hotHits    int
 	remoteHits int
 	persisted  int
 }
@@ -544,8 +543,6 @@ func (e *Executor) Do(key Key, fn func() (any, error)) (any, error) {
 		if wrote {
 			e.persisted++
 		}
-	case tierHot:
-		e.hotHits++
 	case tierDisk:
 		e.diskHits++
 	case tierRemote:
@@ -586,10 +583,6 @@ type Stats struct {
 	// DiskHits is the number of Do calls served from the persistent store
 	// (a segment read plus a decode).
 	DiskHits int
-	// HotHits is the number of Do calls served from the store's in-memory
-	// hot set with the decoded value already attached — no segment read, no
-	// decode.
-	HotHits int
 	// RemoteHits is the number of Do calls served from the remote cache
 	// tier (a verified network fetch plus a decode).
 	RemoteHits int
@@ -609,7 +602,7 @@ type Stats struct {
 func (e *Executor) Stats() Stats {
 	e.mu.Lock()
 	st := Stats{Computed: e.computed, Hits: e.hits, DiskHits: e.diskHits,
-		HotHits: e.hotHits, RemoteHits: e.remoteHits, Persisted: e.persisted}
+		RemoteHits: e.remoteHits, Persisted: e.persisted}
 	e.mu.Unlock()
 	e.poolMu.Lock()
 	st.WorkerSpawns, st.GroupReuses = e.spawns, e.reuses

@@ -12,14 +12,13 @@ import "activemem/internal/telemetry"
 // Tier indices for cellsByTier/cellSecondsByTier: how a Do call resolved.
 const (
 	tierMemo = iota
-	tierHot
 	tierDisk
 	tierRemote
 	tierCompute
 	numTiers
 )
 
-var tierNames = [numTiers]string{"memo", "hot", "disk", "remote", "compute"}
+var tierNames = [numTiers]string{"memo", "disk", "remote", "compute"}
 
 var (
 	mCells       [numTiers]*telemetry.Counter
@@ -43,7 +42,7 @@ var (
 func init() {
 	for t := 0; t < numTiers; t++ {
 		mCells[t] = telemetry.Default.NewCounter("lab_cells_total",
-			"Do calls by resolution tier: in-process memo, store hot set, disk segment, remote cache, or computed.",
+			"Do calls by resolution tier: in-process memo, disk segment, remote cache, or computed.",
 			telemetry.Label{Key: "tier", Value: tierNames[t]})
 		mCellSeconds[t] = telemetry.Default.NewHistogram("lab_cell_seconds",
 			"Do resolution span by tier (lookup+decode for cache tiers, the computation for compute).",

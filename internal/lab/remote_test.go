@@ -147,7 +147,7 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 	if s := exB.Stats(); s.Computed != 0 || s.RemoteHits != cells {
 		t.Fatalf("warm stats = %+v, want %d remote hits", s, cells)
 	}
-	if sum := exB.CacheSummary(); sum != "cache: computed=0 disk_hits=0 hot_hits=0 mem_hits=0 persisted=0 remote_hits=8" {
+	if sum := exB.CacheSummary(); sum != "cache: computed=0 disk_hits=0 mem_hits=0 persisted=0 remote_hits=8" {
 		t.Fatalf("CacheSummary = %q", sum)
 	}
 }

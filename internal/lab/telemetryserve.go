@@ -24,11 +24,11 @@ func RegisterTelemetryFlag() *string {
 // StartTelemetry starts the telemetry HTTP listener when addr is non-empty,
 // announces the bound address on w (the ephemeral-port form 127.0.0.1:0 is
 // useless unannounced), and binds the executor's point-in-time snapshots —
-// lab.Stats, and the disk tier's OpCounters and HotStats when a cache is
-// attached — into /statusz. Starting the listener also activates latency
-// timing and pprof cell labelling process-wide (telemetry.Serve). The
-// returned stop function closes the listener; with an empty addr it is a
-// no-op and nothing is activated.
+// lab.Stats, and the disk tier's OpCounters when a cache is attached —
+// into /statusz. Starting the listener also activates latency timing and
+// pprof cell labelling process-wide (telemetry.Serve). The returned stop
+// function closes the listener; with an empty addr it is a no-op and
+// nothing is activated.
 func StartTelemetry(addr string, ex *Executor, w io.Writer) (func(), error) {
 	if addr == "" {
 		return func() {}, nil
@@ -36,7 +36,6 @@ func StartTelemetry(addr string, ex *Executor, w io.Writer) (func(), error) {
 	telemetry.Default.AddStatus("lab", func() any { return ex.Stats() })
 	if c := ex.Cache(); c != nil {
 		telemetry.Default.AddStatus("store_ops", func() any { return c.Counters() })
-		telemetry.Default.AddStatus("store_hot", func() any { return c.HotStats() })
 	}
 	if rc := ex.Remote(); rc != nil {
 		// Degradation at a glance: hits vs errors/corrupt, breaker state

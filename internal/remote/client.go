@@ -164,6 +164,10 @@ type Client struct {
 	drainDone chan struct{}
 	closed    atomic.Bool
 	closeOnce sync.Once
+	// abort is cancelled when Close gives up draining: the write-back in
+	// flight fails fast and every one still queued is counted as dropped.
+	abort     context.Context
+	abortPuts context.CancelFunc
 
 	schemaBad atomic.Bool
 	warnOnce  sync.Once
@@ -175,9 +179,7 @@ type Client struct {
 	nGets, nHits, nMisses, nNotMod   atomic.Uint64
 	nErrors, nCorrupt, nSchemaMiss   atomic.Uint64
 	nFastFails, nRetries             atomic.Uint64
-	nPutsStored, nPutsExists         atomic.Uint64
-	nPutErrors, nPutsDropped         atomic.Uint64
-	nPutsShed                        atomic.Uint64
+	nPuts                            [numPutOutcomes]atomic.Uint64
 	nSingleflightShared, nQueueDepth atomic.Int64
 }
 
@@ -226,6 +228,7 @@ func New(o Options) (*Client, error) {
 		drainReq:  make(chan struct{}),
 		drainDone: make(chan struct{}),
 	}
+	c.abort, c.abortPuts = context.WithCancel(context.Background())
 	go c.putWorker()
 	return c, nil
 }
@@ -415,21 +418,16 @@ func (c *Client) getOnceConditional(key, ifNoneMatch string) (string, []byte, in
 }
 
 // PutAsync queues a computed record for best-effort write-back. It never
-// blocks: a full queue (or a disabled/closed tier) drops the record —
-// the result is already safe in the local tiers, the remote copy is an
-// optimisation.
+// blocks: a full queue drops the record and a closed, disabled or
+// oversized write-back is shed — the result is already safe in the local
+// tiers, the remote copy is an optimisation. Either way it is counted, so
+// the epilogue can warn about every record that never reached the server.
 func (c *Client) PutAsync(key, typeName string, payload []byte) {
-	if c == nil || c.closed.Load() {
+	if c == nil {
 		return
 	}
-	if c.schemaBad.Load() || c.authBad.Load() {
-		// Count the refusal: these records never reach the server and the
-		// epilogue warns about them, same as the breaker-open sync path.
-		c.nPutsShed.Add(1)
-		mPuts[putShed].Inc()
-		return
-	}
-	if len(payload) > MaxPayload || len(key) > MaxKeyLen {
+	if c.refusesPut(key, payload) {
+		c.countPut(putShed)
 		return
 	}
 	select {
@@ -437,9 +435,23 @@ func (c *Client) PutAsync(key, typeName string, payload []byte) {
 		c.nQueueDepth.Add(1)
 		mPutQueueDepth.Add(1)
 	default:
-		c.nPutsDropped.Add(1)
-		mPuts[putDropped].Inc()
+		c.countPut(putDropped)
 	}
+}
+
+// refusesPut reports whether the tier refuses a write-back up front: the
+// client is closed, the tier disabled (schema mismatch or rejected token),
+// or the record too large for the protocol.
+func (c *Client) refusesPut(key string, payload []byte) bool {
+	return c.closed.Load() || c.schemaBad.Load() || c.authBad.Load() ||
+		len(payload) > MaxPayload || len(key) > MaxKeyLen
+}
+
+// countPut records one write-back outcome on the client's Stats counter
+// and the process-wide instrument.
+func (c *Client) countPut(outcome int) {
+	c.nPuts[outcome].Add(1)
+	mPuts[outcome].Inc()
 }
 
 // putWorker serialises write-backs. One worker is deliberate: write-back
@@ -475,10 +487,11 @@ func (c *Client) putWorker() {
 // or a peer told "done" could miss the bytes. Failures degrade to false;
 // the caller's result is already safe in the local tiers.
 func (c *Client) Put(key, typeName string, payload []byte) bool {
-	if c == nil || c.closed.Load() {
+	if c == nil {
 		return false
 	}
-	if len(payload) > MaxPayload || len(key) > MaxKeyLen {
+	if c.refusesPut(key, payload) {
+		c.countPut(putShed)
 		return false
 	}
 	return c.putCall(putJob{key: key, typeName: typeName, payload: payload})
@@ -490,11 +503,15 @@ func (c *Client) Put(key, typeName string, payload []byte) bool {
 // of a content-addressed record is idempotent anyway, but staying within
 // the idempotency argument keeps the retry policy self-evidently safe.)
 func (c *Client) putCall(j putJob) bool {
+	if c.abort.Err() != nil {
+		// Close gave up draining: the record is abandoned, not failed.
+		c.countPut(putDropped)
+		return false
+	}
 	if c.schemaBad.Load() || c.authBad.Load() || !c.br.Allow() {
 		// Shed, not dropped: the record never entered the queue race — the
 		// tier itself refused it (disabled or breaker-open).
-		c.nPutsShed.Add(1)
-		mPuts[putShed].Inc()
+		c.countPut(putShed)
 		return false
 	}
 	timed := telemetry.Active()
@@ -509,51 +526,53 @@ func (c *Client) putCall(j putJob) bool {
 	}()
 	for attempt := 0; ; attempt++ {
 		out := c.putOnce(j)
+		if out != outHit && out != outMiss && c.abort.Err() != nil {
+			// Cancelled by Close's drain deadline, not refused by the server.
+			c.countPut(putDropped)
+			return false
+		}
 		switch out {
 		case outHit: // 201 stored
 			c.br.Success()
-			c.nPutsStored.Add(1)
-			mPuts[putStored].Inc()
+			c.countPut(putStored)
 			return true
 		case outMiss: // 200 already present
 			c.br.Success()
-			c.nPutsExists.Add(1)
-			mPuts[putExists].Inc()
+			c.countPut(putExists)
 			return true
 		case outSchemaMiss:
 			c.br.Success()
 			c.noteSchemaMismatch()
-			c.nPutErrors.Add(1)
-			mPuts[putError].Inc()
+			c.countPut(putError)
 			return false
 		case outUnauthorized:
 			c.br.Success()
 			c.noteUnauthorized()
-			c.nPutErrors.Add(1)
-			mPuts[putError].Inc()
+			c.countPut(putError)
 			return false
 		case outFail:
 			c.br.Failure()
-			c.nPutErrors.Add(1)
-			mPuts[putError].Inc()
+			c.countPut(putError)
 			return false
 		default: // outRetry: connection-level only
 			if attempt >= c.opts.Retries {
 				c.br.Failure()
-				c.nPutErrors.Add(1)
-				mPuts[putError].Inc()
+				c.countPut(putError)
 				return false
 			}
 			c.nRetries.Add(1)
 			mRetries.Inc()
-			time.Sleep(c.backoff(attempt))
+			select {
+			case <-time.After(c.backoff(attempt)):
+			case <-c.abort.Done():
+			}
 		}
 	}
 }
 
 // putOnce performs one PUT attempt under its own deadline.
 func (c *Client) putOnce(j putJob) int {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
+	ctx, cancel := context.WithTimeout(c.abort, c.opts.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
 		c.base+CellPathPrefix+j.key, strings.NewReader(string(j.payload)))
@@ -644,7 +663,11 @@ func (c *Client) noteUnauthorized() {
 }
 
 // Close drains queued write-backs (bounded by DrainTimeout) and releases
-// connections. Get/PutAsync on a closed client are safe no-ops.
+// connections. At the deadline the write-back in flight is cancelled and
+// the rest of the queue is counted as dropped, so once Close returns
+// Stats accounts for every write-back issued: stored, already present,
+// failed, dropped or shed. Get/PutAsync on a closed client are safe
+// no-ops (a write-back counts as shed).
 func (c *Client) Close() {
 	if c == nil {
 		return
@@ -655,7 +678,10 @@ func (c *Client) Close() {
 		select {
 		case <-c.drainDone:
 		case <-time.After(c.opts.DrainTimeout):
+			c.abortPuts()
+			<-c.drainDone
 		}
+		c.abortPuts()
 		c.hc.CloseIdleConnections()
 	})
 }
@@ -701,11 +727,11 @@ func (c *Client) Stats() Stats {
 		BreakerOpens:     c.br.Opens(),
 		BreakerState:     c.br.State(),
 		SingleflightHits: c.nSingleflightShared.Load(),
-		PutsStored:       c.nPutsStored.Load(),
-		PutsExists:       c.nPutsExists.Load(),
-		PutErrors:        c.nPutErrors.Load(),
-		PutsDropped:      c.nPutsDropped.Load(),
-		PutsShed:         c.nPutsShed.Load(),
+		PutsStored:       c.nPuts[putStored].Load(),
+		PutsExists:       c.nPuts[putExists].Load(),
+		PutErrors:        c.nPuts[putError].Load(),
+		PutsDropped:      c.nPuts[putDropped].Load(),
+		PutsShed:         c.nPuts[putShed].Load(),
 		PutQueueDepth:    c.nQueueDepth.Load(),
 	}
 }

@@ -29,8 +29,8 @@ const (
 	putStored = iota
 	putExists
 	putError
-	putDropped // write-back queue full: dropped, never blocked the campaign
-	putShed    // tier refused it up front: breaker open, schema/auth disabled
+	putDropped // queue full, or abandoned at Close's drain deadline
+	putShed    // refused up front: breaker open, tier disabled or closed, oversized
 	numPutOutcomes
 )
 

@@ -222,6 +222,71 @@ func TestClientHitMissAndWriteBack(t *testing.T) {
 	}
 }
 
+// TestCloseAccountsForEveryWriteBack: against a server that stops
+// answering after its first PUT, Close gives up at DrainTimeout, and the
+// write-backs it abandons — the one in flight and those still queued —
+// count as dropped, like queue-full drops; oversized and post-Close
+// write-backs count as shed. Once Close returns, the outcome counters sum
+// to the write-backs issued, so the epilogue's warning sees every record
+// that never reached the server.
+func TestCloseAccountsForEveryWriteBack(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{Schema: testSchema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	h := NewHandler(st)
+	release := make(chan struct{})
+	var n atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if n.Add(1) > 1 {
+			<-release
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(release) }) // runs before srv.Close
+	c := newClient(t, srv.URL, func(o *Options) {
+		o.DrainTimeout = 50 * time.Millisecond
+		o.PutQueue = 4
+	})
+
+	issued := 0
+	if !c.Put("k0", "t", []byte("v0")) {
+		t.Fatal("first PUT not stored")
+	}
+	issued++
+	const async = 8
+	for i := 1; i <= async; i++ {
+		c.PutAsync(fmt.Sprintf("k%d", i), "t", []byte("v"))
+		issued++
+	}
+	oversized := strings.Repeat("k", MaxKeyLen+1)
+	c.PutAsync(oversized, "t", []byte("v"))
+	issued++
+	if c.Put(oversized, "t", []byte("v")) {
+		t.Fatal("oversized PUT reported stored")
+	}
+	issued++
+
+	start := time.Now()
+	c.Close()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v against a blocked server, want about DrainTimeout", d)
+	}
+	c.PutAsync("late", "t", []byte("v"))
+	issued++
+
+	s := c.Stats()
+	sum := s.PutsStored + s.PutsExists + s.PutErrors + s.PutsDropped + s.PutsShed
+	if sum != uint64(issued) {
+		t.Fatalf("stats = %+v: outcomes sum to %d, want %d write-backs", s, sum, issued)
+	}
+	if s.PutsStored != 1 || s.PutsDropped != async || s.PutsShed != 3 || s.PutQueueDepth != 0 {
+		t.Fatalf("stats = %+v, want 1 stored, %d dropped, 3 shed, empty queue", s, async)
+	}
+}
+
 func TestClientRetries5xxThenSucceeds(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{Schema: testSchema})
 	if err != nil {

@@ -13,8 +13,7 @@ import (
 
 // TestGetIndexedKeyIsLockFree pins the tentpole guarantee with the store's
 // own op counters: once a key is indexed in a shard's published snapshot,
-// Get touches no mutex and no flock. (The hot set is off here so the
-// counters isolate the snapshot path rather than hot-set hits.)
+// Get touches no mutex and no flock.
 func TestGetIndexedKeyIsLockFree(t *testing.T) {
 	s := openT(t, t.TempDir())
 	defer s.Close()

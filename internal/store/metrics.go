@@ -5,7 +5,7 @@
 //
 // Cost discipline mirrors the rest of the stack: event counters are
 // always-on single atomic adds on paths that already do real work (a get
-// does a map probe or a pread; a hot-set admission holds a stripe mutex),
+// does a map probe or a pread),
 // while latency timing — the time.Now pairs around Get/Put — is gated on
 // telemetry.Active() so the lock-free read path stays lock-free and
 // near-free with the listener off.
@@ -16,29 +16,18 @@ import "activemem/internal/telemetry"
 
 var (
 	tmGets = telemetry.Default.NewCounter("store_gets_total",
-		"Store Get/GetDecoded calls (all tiers).")
+		"Store Get calls.")
 	tmPuts = telemetry.Default.NewCounter("store_puts_total",
 		"Store Put calls.")
-	tmHotHits = telemetry.Default.NewCounter("store_hot_hits_total",
-		"Gets served by the in-memory hot set (no disk access, no mutex).")
 	tmSnapshotHits = telemetry.Default.NewCounter("store_snapshot_hits_total",
 		"Gets served lock-free from a shard's published index snapshot (one pread).")
 	tmSlowGets = telemetry.Default.NewCounter("store_slow_gets_total",
 		"Gets that fell to a shard's locked slow path (misses, verification failures).")
 
 	tmGetSeconds = telemetry.Default.NewHistogramVec("store_get_seconds",
-		"Get latency by shard (hot set included; timing active only with telemetry on).",
+		"Get latency by shard (timing active only with telemetry on).",
 		"shard", numShards)
 	tmPutSeconds = telemetry.Default.NewHistogramVec("store_put_seconds",
 		"Put latency by shard, including the segment fsync (timing active only with telemetry on).",
 		"shard", numShards)
-
-	tmHotAdmits = telemetry.Default.NewCounter("store_hot_admits_total",
-		"Hot-set admissions (entry accepted into probation).")
-	tmHotRejects = telemetry.Default.NewCounter("store_hot_rejects_total",
-		"Hot-set admission rejections (TinyLFU estimate lost to the probation victim).")
-	tmHotEvicts = telemetry.Default.NewCounter("store_hot_evicts_total",
-		"Hot-set evictions (budget pressure or replacement).")
-	tmHotSketchResets = telemetry.Default.NewCounter("store_hot_sketch_resets_total",
-		"TinyLFU count-min sketch aging passes (every counter halved).")
 )

@@ -48,12 +48,6 @@
 // the unlocked read sound. An index miss falls to a locked slow path
 // whose shared-lock tail rescan makes results appended by sibling
 // processes visible mid-run.
-//
-// In front of the shards sits an optional admission-controlled in-memory
-// hot set (Options.HotBytes; see hotset.go): repeated reads of the same
-// keys are served from memory without the pread, checksum re-verification
-// or decode, under TinyLFU admission so one-shot scans cannot flush the
-// actually-hot working set.
 package store
 
 import (
@@ -81,9 +75,6 @@ type Options struct {
 	// Put/GC/Import fail, and torn tails are tolerated rather than
 	// truncated.
 	ReadOnly bool
-	// HotBytes bounds the in-memory hot set in front of the shards; zero
-	// disables the memory tier entirely (every Get goes to the segment).
-	HotBytes int64
 }
 
 // opCounters are the store's cumulative operation counters. They exist so
@@ -93,7 +84,6 @@ type Options struct {
 type opCounters struct {
 	gets         atomic.Uint64
 	puts         atomic.Uint64
-	hotHits      atomic.Uint64
 	snapshotHits atomic.Uint64
 	slowGets     atomic.Uint64
 	mutexAcqs    atomic.Uint64
@@ -104,12 +94,8 @@ type opCounters struct {
 // OpCounters is a point-in-time snapshot of the store's operation
 // counters.
 type OpCounters struct {
-	// Gets and Puts count public Get/GetDecoded/Put calls.
+	// Gets and Puts count public Get/Put calls.
 	Gets, Puts uint64
-	// HotHits counts gets served by the in-memory hot set: no disk
-	// access, no mutex — the hit path is a lock-free map load plus a
-	// read-ring store (policy work is drained by later locked ops).
-	HotHits uint64
 	// SnapshotHits counts gets served lock-free from a shard's published
 	// index snapshot: no mutex, no file lock, one pread.
 	SnapshotHits uint64
@@ -134,7 +120,6 @@ type Store struct {
 	reset    bool
 
 	shards  []*shard
-	hot     *hotSet
 	ops     opCounters
 	dirLock *os.File
 }
@@ -148,9 +133,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: empty schema version")
 	}
 	s := &Store{dir: dir, schema: opts.Schema, readOnly: opts.ReadOnly}
-	if opts.HotBytes > 0 {
-		s.hot = newHotSet(opts.HotBytes)
-	}
 	shardsDir := filepath.Join(dir, shardsDirName)
 
 	if !opts.ReadOnly {
@@ -198,10 +180,9 @@ func (s *Store) shardFor(key string) *shard {
 }
 
 // Get returns the entry for key, or ok == false when it is absent or its
-// record fails verification. The hot set is consulted first; a disk hit is
-// offered back to it for admission. A shard-index miss rescans that
-// shard's tail, so entries appended by other processes sharing the
-// directory are found.
+// record fails verification. A shard-index miss rescans that shard's
+// tail, so entries appended by other processes sharing the directory are
+// found.
 func (s *Store) Get(key string) (typeName string, payload []byte, ok bool) {
 	s.ops.gets.Add(1)
 	tmGets.Inc()
@@ -210,46 +191,7 @@ func (s *Store) Get(key string) (typeName string, payload []byte, ok bool) {
 		startNs = telemetry.NowNs()
 		defer func() { tmGetSeconds.Observe(shardOf(key), telemetry.NowNs()-startNs) }()
 	}
-	if s.hot != nil {
-		if v, hit := s.hot.get(key); hit && v.payload != nil {
-			s.ops.hotHits.Add(1)
-			tmHotHits.Inc()
-			return v.typeName, v.payload, true
-		}
-	}
-	typeName, payload, ok = s.shardFor(key).get(key)
-	if ok && s.hot != nil {
-		s.hot.add(key, typeName, payload, nil)
-	}
-	return typeName, payload, ok
-}
-
-// GetDecoded returns the decoded value a previous AddDecoded attached to
-// key, if the hot set still holds it. It is the fastest tier: no disk
-// read, no verification, no decode.
-func (s *Store) GetDecoded(key string) (any, bool) {
-	if s.hot == nil {
-		return nil, false
-	}
-	s.ops.gets.Add(1)
-	tmGets.Inc()
-	if v, hit := s.hot.get(key); hit && v.value != nil {
-		s.ops.hotHits.Add(1)
-		tmHotHits.Inc()
-		return v.value, true
-	}
-	return nil, false
-}
-
-// AddDecoded offers key's decoded value to the hot set, so future
-// GetDecoded calls skip the decode as well as the disk. payloadLen (the
-// encoded size) stands in as the admission cost. Decoded values are shared
-// across callers and must be treated as immutable.
-func (s *Store) AddDecoded(key string, value any, payloadLen int64) {
-	if s.hot == nil || value == nil {
-		return
-	}
-	s.hot.attach(key, value, payloadLen)
+	return s.shardFor(key).get(key)
 }
 
 // Put appends an entry to the key's shard, reporting whether it wrote: a
@@ -270,23 +212,16 @@ func (s *Store) Put(key, typeName string, payload []byte) (added bool, err error
 		startNs = telemetry.NowNs()
 		defer func() { tmPutSeconds.Observe(shardOf(key), telemetry.NowNs()-startNs) }()
 	}
-	added, err = s.shardFor(key).put(key, typeName, payload, time.Now().Unix())
-	if err == nil && s.hot != nil {
-		s.hot.add(key, typeName, payload, nil)
-	}
-	return added, err
+	return s.shardFor(key).put(key, typeName, payload, time.Now().Unix())
 }
 
 // Invalidate drops key from its shard's index (so the next Put for it
 // appends a fresh record, which last-wins over the old one at every future
-// scan) and from the hot set. The executor's disk tier uses it when a
-// checksum-valid record fails to decode — a stale payload encoding that,
-// left in place, would force every future run to recompute the cell
-// without ever being able to repair it.
+// scan). The executor's disk tier uses it when a checksum-valid record
+// fails to decode — a stale payload encoding that, left in place, would
+// force every future run to recompute the cell without ever being able to
+// repair it.
 func (s *Store) Invalidate(key string) {
-	if s.hot != nil {
-		s.hot.remove(key)
-	}
 	s.shardFor(key).invalidate(key)
 }
 
@@ -333,22 +268,12 @@ func (s *Store) Counters() OpCounters {
 	return OpCounters{
 		Gets:         s.ops.gets.Load(),
 		Puts:         s.ops.puts.Load(),
-		HotHits:      s.ops.hotHits.Load(),
 		SnapshotHits: s.ops.snapshotHits.Load(),
 		SlowGets:     s.ops.slowGets.Load(),
 		MutexAcqs:    s.ops.mutexAcqs.Load(),
 		FlockAcqs:    s.ops.flockAcqs.Load(),
 		GroupCommits: s.ops.groupCommits.Load(),
 	}
-}
-
-// HotStats returns the hot set's counters; the zero value when the memory
-// tier is disabled.
-func (s *Store) HotStats() HotStats {
-	if s.hot == nil {
-		return HotStats{}
-	}
-	return s.hot.stats()
 }
 
 // EntryInfo describes one live entry.

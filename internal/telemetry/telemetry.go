@@ -26,8 +26,8 @@
 // Latency *timing* (the time.Now pairs around spans) is gated on Active(),
 // which Serve sets: with the listener off, an instrumented operation pays
 // at most an atomic load and an atomic add. Event counters (cells by tier,
-// store ops, hot-set policy events) are always live — they are single
-// atomic adds on paths that already do real work.
+// store ops) are always live — they are single atomic adds on paths that
+// already do real work.
 package telemetry
 
 import (
@@ -172,7 +172,7 @@ func (r *Registry) register(name, help, typ string, ls string, mk func() series)
 // AddStatus registers (or replaces) a named status source: a callback
 // whose result is embedded in the /statusz JSON document under the given
 // name. Sources are for rich structured snapshots that do not fit the
-// metric model — lab.Stats, store.OpCounters, hot-set summaries.
+// metric model — lab.Stats, store.OpCounters, remote.Stats.
 func (r *Registry) AddStatus(name string, fn func() any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
