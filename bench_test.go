@@ -487,8 +487,8 @@ func BenchmarkCampaignSweepLadder(b *testing.B) {
 }
 
 // BenchmarkClusterIteration measures exact-mode bulk-synchronous iterations:
-// 4 simulated sockets × 6 iterations per Run, the loop whose per-iteration
-// scheduling setup the persistent worker group eliminates.
+// 4 simulated sockets × 6 iterations per Run, each iteration's compute
+// phases one batch on the run's private executor (a worker per socket).
 func BenchmarkClusterIteration(b *testing.B) {
 	spec := machine.Scaled(8)
 	for i := 0; i < b.N; i++ {

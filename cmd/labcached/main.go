@@ -1,7 +1,8 @@
 // Command labcached serves a persistent result store over HTTP as the
 // team-wide remote memo tier: campaigns on any machine consult it after
 // their local tiers (-cache-url) and write computed cells back, so a
-// paper-scale grid is simulated once, ever, org-wide.
+// paper-scale grid is simulated once, ever, org-wide. It also serves the
+// fleet coordinator that leases a distributed campaign's cells.
 //
 // Usage:
 //
@@ -18,14 +19,22 @@
 // With -coord (the default), a fleet coordinator is mounted at
 // /v1/campaign/* on the same listener, so one process serves both the
 // results and the leases of a distributed campaign: point every
-// worker's -worker-of (and -cache-url) at this address. -auth-token
-// (default $ACTIVEMEM_CACHE_TOKEN) guards both the cell and campaign
-// endpoints with a shared-secret bearer token; telemetry endpoints stay
-// open, matching the usual metrics-are-public posture.
+// worker's -worker-of (and -cache-url) at this address. With an empty
+// -dir it serves the coordinator alone, for topologies that split
+// leases from results (workers name both: -worker-of this server,
+// -cache-url another labcached run with -coord=false) and for chaos
+// drills where the coordinator must be killable without taking the
+// cache down. Coordinator state is in-memory by design: completed cells
+// live in the shared cache, so a restarted coordinator re-learns the
+// campaign from the claims that keep arriving. -auth-token (default
+// $ACTIVEMEM_CACHE_TOKEN) guards both the cell and campaign endpoints
+// with a shared-secret bearer token; telemetry endpoints stay open,
+// matching the usual metrics-are-public posture.
 //
 // On SIGINT/SIGTERM the server stops accepting connections, drains
-// in-flight requests for up to -drain, closes the store and exits;
-// a second signal exits immediately.
+// in-flight requests for up to -drain, prints the coordinator's summary
+// (cells, leases, steals, expiries), closes the store and exits; a
+// second signal exits immediately.
 package main
 
 import (
@@ -43,6 +52,7 @@ import (
 	"activemem/internal/fleet"
 	"activemem/internal/lab"
 	"activemem/internal/remote"
+	"activemem/internal/store"
 	"activemem/internal/telemetry"
 )
 
@@ -72,28 +82,32 @@ func main() {
 	if *policy != "first-error" && *policy != "keep-going" {
 		log.Fatalf("unknown -policy %q (want first-error or keep-going)", *policy)
 	}
-	if *dir == "" {
-		log.Fatal("no store directory: set -dir or $ACTIVEMEM_CACHE_DIR")
+	if *dir == "" && !*coord {
+		log.Fatal("nothing to serve: set -dir (or $ACTIVEMEM_CACHE_DIR), or keep -coord")
 	}
 
-	st, err := lab.OpenCache(*dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// One mux: the cell protocol beside the stock telemetry surface.
-	// Serving /metrics from the same registry the remote/store packages
-	// register on means server-side request counters and store op counters
-	// are all scrapeable without extra wiring.
+	// One mux: the cell protocol and the coordinator beside the stock
+	// telemetry surface. Serving /metrics from the same registry the
+	// remote/store/fleet packages register on means server-side request
+	// counters and store op counters are all scrapeable without extra
+	// wiring.
 	telemetry.SetActive(true)
-	telemetry.Default.AddStatus("store_ops", func() any { return st.Counters() })
-	telemetry.Default.AddStatus("labcached", func() any {
-		return map[string]any{"dir": st.Dir(), "entries": st.Len(), "schema": st.Schema()}
-	})
 	mux := http.NewServeMux()
-	mux.Handle(remote.CellPathPrefix, remote.RequireAuth(*authToken, remote.NewHandler(st)))
+	var st *store.Store
+	if *dir != "" {
+		var err error
+		if st, err = lab.OpenCache(*dir); err != nil {
+			log.Fatal(err)
+		}
+		telemetry.Default.AddStatus("store_ops", func() any { return st.Counters() })
+		telemetry.Default.AddStatus("labcached", func() any {
+			return map[string]any{"dir": st.Dir(), "entries": st.Len(), "schema": st.Schema()}
+		})
+		mux.Handle(remote.CellPathPrefix, remote.RequireAuth(*authToken, remote.NewHandler(st)))
+	}
+	var co *fleet.Coordinator
 	if *coord {
-		co := fleet.NewCoordinator(fleet.Options{
+		co = fleet.NewCoordinator(fleet.Options{
 			LeaseTTL:   *leaseTTL,
 			StealAfter: *stealAfter,
 			KeepGoing:  *policy == "keep-going",
@@ -110,8 +124,12 @@ func main() {
 	}
 	srv := &http.Server{Handler: mux}
 	fmt.Fprintf(os.Stderr, "labcached: listening on http://%s\n", ln.Addr())
-	fmt.Fprintf(os.Stderr, "labcached: serving %d cells from %s (schema %s)\n",
-		st.Len(), st.Dir(), st.Schema())
+	if st != nil {
+		fmt.Fprintf(os.Stderr, "labcached: serving %d cells from %s (schema %s)\n",
+			st.Len(), st.Dir(), st.Schema())
+	} else {
+		fmt.Fprintln(os.Stderr, "labcached: no -dir: serving leases only")
+	}
 	if *coord {
 		fmt.Fprintf(os.Stderr, "labcached: coordinator at %s (lease-ttl %s, steal-after %s, policy %s)\n",
 			fleet.PathPrefix, *leaseTTL, *stealAfter, *policy)
@@ -127,7 +145,9 @@ func main() {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
-		st.Close()
+		if st != nil {
+			st.Close()
+		}
 		log.Fatal(err)
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "labcached: %v: draining in-flight requests (up to %s; signal again to exit now)\n",
@@ -142,6 +162,15 @@ func main() {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("drain incomplete: %v", err)
+	}
+	if co != nil {
+		s := co.Status()
+		fmt.Fprintf(os.Stderr, "labcached: coordinator: %d cells (%d done, %d failed), %d leases, %d steals, %d expiries\n",
+			s.Cells, s.Done, s.Failed, s.LeasesGranted, s.Steals, s.Expired)
+	}
+	if st == nil {
+		fmt.Fprintln(os.Stderr, "labcached: bye")
+		return
 	}
 	// Every acknowledged put is already durable in its segment; closing
 	// releases the store's file handles and locks.

@@ -198,8 +198,7 @@ func TestGoldenApplicationRuns(t *testing.T) {
 		res, err := cluster.Run(cluster.RunConfig{
 			Spec: spec, App: app, RanksPerSocket: 2,
 			Interference: cluster.Interference{Kind: kind, Threads: threads},
-			Iterations:   4, Warmup: 2, Homogeneous: true, NoiseStd: 0.005,
-			Concurrency: 1, Seed: 1,
+			Iterations:   4, Warmup: 2, Homogeneous: true, NoiseStd: 0.005, Seed: 1,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -103,12 +103,6 @@ type RunConfig struct {
 	// the CSThr coupon-collector bound; set negative to disable.
 	Prewarm units.Cycles
 
-	// Concurrency bounds how many sockets are simulated concurrently in
-	// exact (non-homogeneous) mode: 0 selects GOMAXPROCS, 1 runs serially.
-	// Homogeneous runs simulate a single socket and are unaffected.
-	// Results are bit-identical at every setting.
-	Concurrency int
-
 	Seed uint64
 }
 

@@ -86,20 +86,22 @@ func Run(cfg RunConfig) (Result, error) {
 	var commCritical units.Cycles
 	wallPrev, wallBoundary := prewarm, prewarm
 
-	// Compute phases are independent per socket. A persistent worker group
-	// pins each socket to one resident goroutine for the whole run — the
-	// bulk-synchronous loop crosses an epoch barrier per iteration instead
-	// of building and tearing down a worker pool — with the Concurrency
-	// bound expressed as the worker count (and the common single-socket
-	// homogeneous case running inline, with no goroutine at all).
-	group := lab.NewPersistentGroupLabeled(len(sims), cfg.Concurrency, "cluster compute phase")
-	defer group.Close()
+	// Compute phases are independent per socket: each iteration runs them
+	// as one batch on a private executor with a worker per simulated
+	// socket, whose resident pool persists across iterations. The
+	// single-socket homogeneous case runs inline. A private executor, not
+	// the caller's: a cluster cell already occupies one of its workers.
+	ex := lab.New(lab.Config{Workers: len(sims)})
+	defer ex.Close()
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		_ = group.RunEpoch(func(s int) error {
+		err := ex.RunLabeled("cluster compute phase", len(sims), func(s int) error {
 			runPhase(cfg, sims[s], ranks, start, durSim, iter)
 			return nil
 		})
+		if err != nil {
+			return Result{}, err
+		}
 
 		// Per-rank finish times: simulated durations (replicated across
 		// sockets in homogeneous mode) plus OS noise. Noise is drawn for

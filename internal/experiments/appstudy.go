@@ -89,7 +89,6 @@ func runAppSweep(ex *lab.Executor, opt Options, label string, build appBuilder,
 				Warmup:         warm,
 				Homogeneous:    true,
 				NoiseStd:       0.005,
-				Concurrency:    1, // the cell is already a pool worker
 				Seed:           opt.Seed,
 			}
 			res, err := lab.Memo(ex, clusterCellKey(cfg, label), func() (cluster.Result, error) {
@@ -109,8 +108,7 @@ func runAppSweep(ex *lab.Executor, opt Options, label string, build appBuilder,
 
 // clusterCellKey fingerprints one cluster experiment cell from the config
 // it actually runs with; label stands in for cfg.App (an interface holding
-// fresh allocations, which cannot be hashed), and cfg.Concurrency is
-// excluded because it cannot affect the result. k = 0 cells share a
+// fresh allocations, which cannot be hashed). k = 0 cells share a
 // kind-independent baseline key, mirroring core.ExperimentKey.
 func clusterCellKey(cfg cluster.RunConfig, label string) lab.Key {
 	base := []any{cfg.Spec, label, cfg.RanksPerSocket, cfg.Iterations, cfg.Warmup,

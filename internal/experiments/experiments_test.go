@@ -22,6 +22,17 @@ func TestGridString(t *testing.T) {
 	}
 }
 
+func TestParseGrid(t *testing.T) {
+	for _, g := range []Grid{GridSmoke, GridQuick, GridPaper} {
+		if got, err := ParseGrid(g.String()); err != nil || got != g {
+			t.Fatalf("ParseGrid(%q) = %v, %v; want %v", g.String(), got, err, g)
+		}
+	}
+	if _, err := ParseGrid("Grid(9)"); err == nil {
+		t.Fatal("ParseGrid accepted an unknown grid name")
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	if o.Spec().Name != "Xeon20MB" {

@@ -43,6 +43,16 @@ func (g Grid) String() string {
 	}
 }
 
+// ParseGrid resolves a grid name, the inverse of Grid.String.
+func ParseGrid(s string) (Grid, error) {
+	for g := GridSmoke; g <= GridPaper; g++ {
+		if g.String() == s {
+			return g, nil
+		}
+	}
+	return GridQuick, fmt.Errorf("unknown grid %q (want smoke, quick or paper)", s)
+}
+
 // Options configures an experiment run.
 type Options struct {
 	// Scale shrinks the simulated machine by a power of two (1 = the full

@@ -39,7 +39,7 @@ import (
 // ClientOptions parameterises a worker's coordinator link. Zero tuning
 // fields select the defaults documented on each.
 type ClientOptions struct {
-	// BaseURL locates the coordinator (labcached -coord or labcoord),
+	// BaseURL locates the coordinator (a labcached with -coord, the default),
 	// e.g. "http://10.0.0.7:8344". A bare host:port is assumed http.
 	BaseURL string
 	// Worker identifies this process in leases and per-worker accounting

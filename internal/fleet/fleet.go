@@ -1,10 +1,10 @@
 // Package fleet shards one campaign grid across N worker processes with
 // no lost work. It is the robustness substrate for distributed campaign
 // execution over the content-addressed keyspace: a lease-based
-// coordinator (Coordinator + NewHandler, mounted at /v1/campaign/ beside
-// labcached's cell store, or standalone via cmd/labcoord) and a worker
-// client (Client) that the lab executor consults before computing a
-// cell.
+// coordinator (Coordinator + NewHandler, mounted at /v1/campaign/ by
+// labcached, beside its cell store or alone when it serves no store
+// directory) and a worker client (Client) that the lab executor consults
+// before computing a cell.
 //
 // The design leans entirely on content addressing. Every worker runs the
 // *same* grid; the coordinator does not push work, it arbitrates who

@@ -1,9 +1,9 @@
 // The coordinator's HTTP surface: five POST endpoints taking small JSON
-// bodies plus a GET status page, all under PathPrefix. The handler is
-// mounted beside labcached's cell store (one process serves both the
-// results and the leases) or alone in cmd/labcoord; auth is layered on
-// top by the caller via remote.RequireAuth, so the wire posture matches
-// the cell endpoints exactly.
+// bodies plus a GET status page, all under PathPrefix. labcached mounts
+// the handler beside its cell store (one process serves both the results
+// and the leases), or alone when it serves no store directory; auth is
+// layered on top by the caller via remote.RequireAuth, so the wire
+// posture matches the cell endpoints exactly.
 
 package fleet
 
@@ -17,52 +17,50 @@ import (
 // full paper grid is a few hundred cells × ~100 bytes, far under this.
 const maxBody = 1 << 20
 
-// NewHandler serves c under PathPrefix.
+// NewHandler serves c under PathPrefix. Endpoints match exactly: any
+// other path, including a non-canonical spelling of an endpoint, is 404.
 func NewHandler(c *Coordinator) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(PathPrefix+"claim", func(w http.ResponseWriter, r *http.Request) {
-		var req ClaimRequest
-		if !decode(w, r, &req) || !require(w, req.Key != "" && req.Worker != "") {
-			return
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		endpoint, ok := strings.CutPrefix(r.URL.Path, PathPrefix)
+		if !ok {
+			endpoint = ""
 		}
-		reply(w, c.Claim(req))
-	})
-	mux.HandleFunc(PathPrefix+"done", func(w http.ResponseWriter, r *http.Request) {
-		var req DoneRequest
-		if !decode(w, r, &req) || !require(w, req.Key != "" && req.Worker != "") {
-			return
+		switch endpoint {
+		case "claim":
+			var req ClaimRequest
+			if decode(w, r, &req) && require(w, req.Key != "" && req.Worker != "") {
+				reply(w, c.Claim(req))
+			}
+		case "done":
+			var req DoneRequest
+			if decode(w, r, &req) && require(w, req.Key != "" && req.Worker != "") {
+				reply(w, c.Done(req))
+			}
+		case "fail":
+			var req FailRequest
+			if decode(w, r, &req) && require(w, req.Key != "" && req.Worker != "") {
+				reply(w, c.Fail(req))
+			}
+		case "heartbeat":
+			var req HeartbeatRequest
+			if decode(w, r, &req) && require(w, req.Worker != "") {
+				reply(w, c.Heartbeat(req))
+			}
+		case "manifest":
+			var req ManifestRequest
+			if decode(w, r, &req) {
+				reply(w, c.Manifest(req))
+			}
+		case "status":
+			if r.Method != http.MethodGet {
+				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+				return
+			}
+			reply(w, c.Status())
+		default:
+			http.NotFound(w, r)
 		}
-		reply(w, c.Done(req))
 	})
-	mux.HandleFunc(PathPrefix+"fail", func(w http.ResponseWriter, r *http.Request) {
-		var req FailRequest
-		if !decode(w, r, &req) || !require(w, req.Key != "" && req.Worker != "") {
-			return
-		}
-		reply(w, c.Fail(req))
-	})
-	mux.HandleFunc(PathPrefix+"heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if !decode(w, r, &req) || !require(w, req.Worker != "") {
-			return
-		}
-		reply(w, c.Heartbeat(req))
-	})
-	mux.HandleFunc(PathPrefix+"manifest", func(w http.ResponseWriter, r *http.Request) {
-		var req ManifestRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		reply(w, c.Manifest(req))
-	})
-	mux.HandleFunc(PathPrefix+"status", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		reply(w, c.Status())
-	})
-	return mux
 }
 
 // decode enforces POST + bounded JSON body into v, answering the error

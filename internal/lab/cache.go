@@ -206,19 +206,6 @@ func (e *Executor) Cache() *store.Store { return e.cache }
 // Remote returns the executor's remote tier, or nil.
 func (e *Executor) Remote() *remote.Client { return e.remote }
 
-// OpenRemote resolves a -cache-url / $ACTIVEMEM_CACHE_URL setting into a
-// remote-tier client under the current ResultSchemaVersion, with tuning
-// knobs from the environment (remote.OptionsFromEnv). An empty URL
-// returns (nil, nil): no remote tier. The only error is a malformed URL;
-// a server that is down, slow or wrong merely degrades every lookup to a
-// miss at runtime.
-func OpenRemote(urlStr string) (*remote.Client, error) {
-	if urlStr == "" {
-		return nil, nil
-	}
-	return remote.New(remote.OptionsFromEnv(urlStr, ResultSchemaVersion))
-}
-
 // OpenCache opens the persistent result store in dir under the current
 // ResultSchemaVersion — the one way the CLIs and the facade resolve a
 // -cache-dir / MeasureOptions.CacheDir setting, so the schema stamp can

@@ -22,18 +22,6 @@ import (
 	"activemem/internal/remote"
 )
 
-// OpenFleet resolves a -worker-of / $ACTIVEMEM_FLEET_URL setting into a
-// coordinator link with tuning knobs from the environment
-// (fleet.ClientOptionsFromEnv). An empty URL returns (nil, nil): no
-// fleet. The only error is a malformed URL; a coordinator that is down
-// or flapping merely degrades claims to solo compute at runtime.
-func OpenFleet(urlStr string) (*fleet.Client, error) {
-	if urlStr == "" {
-		return nil, nil
-	}
-	return fleet.NewClient(fleet.ClientOptionsFromEnv(urlStr))
-}
-
 // Fleet returns the executor's coordinator link, or nil.
 func (e *Executor) Fleet() *fleet.Client { return e.fleet }
 

@@ -31,7 +31,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -137,18 +136,18 @@ type Config struct {
 	// older simulator generation self-invalidate. Several executors (or
 	// processes) may share one cache directory; see package store.
 	Cache *store.Store
-	// Remote, when non-nil, is the network tier behind the disk tier
-	// (open with OpenRemote): Do consults memory → disk → remote →
-	// compute, and write-backs of computed cells flow to the server
-	// asynchronously. The tier is strictly best-effort — a down,
+	// Remote, when non-nil, is the network tier behind the disk tier (a
+	// Campaign opens it from -cache-url): Do consults memory → disk →
+	// remote → compute, and write-backs of computed cells flow to the
+	// server asynchronously. The tier is strictly best-effort — a down,
 	// slow, flaky or corrupting server degrades lookups to misses within
 	// the client's deadline budget and can never fail a campaign or
 	// change its bytes (see package remote). The executor does not own
 	// the client; close it after the executor.
 	Remote *remote.Client
-	// Fleet, when non-nil, is a coordinator link (open with OpenFleet)
-	// that turns this executor into one worker of a distributed
-	// campaign: a cell that misses every cache tier is claimed from the
+	// Fleet, when non-nil, is a coordinator link (a Campaign opens it
+	// from -worker-of) that turns this executor into one worker of a
+	// distributed campaign: a cell that misses every cache tier is claimed from the
 	// coordinator before computing, computed results are published
 	// synchronously through the remote tier before the lease is acked,
 	// and cells leased to other workers are waited out and then read
@@ -166,16 +165,16 @@ type Config struct {
 // progress-callback serialisation. Run must not be called from inside one
 // of its own jobs on the same Executor — a job occupies a resident worker,
 // so same-executor nesting can starve the pool and deadlock; give nested
-// work its own Executor or PersistentGroup, as the cluster cells scheduled
-// by the app studies do (each cell runs its sockets on a private
-// single-worker group, never back on the executor that ran the cell).
+// work its own Executor, as the cluster cells scheduled by the app
+// studies do (each cell runs its sockets on a private executor with one
+// worker per simulated socket, never back on the executor that ran the
+// cell).
 //
 // The pool is lazily created by the first parallel batch and persists
 // across batches: a campaign of sweep ladders, calibration grids and
-// adaptive re-runs crosses a channel handoff per job instead of spawning
-// and tearing down Workers goroutines per batch (the same resident-worker
-// idea PersistentGroup applies to bulk-synchronous cluster epochs, without
-// that type's static job pinning). Close releases the resident workers; a
+// adaptive re-runs — or a cluster run's per-iteration compute phases —
+// crosses a channel handoff per job instead of spawning and tearing down
+// Workers goroutines per batch. Close releases the resident workers; a
 // later batch lazily respawns them. Stats reports WorkerSpawns and
 // GroupReuses so campaigns can see the pool working.
 type Executor struct {
@@ -608,28 +607,4 @@ func (e *Executor) Stats() Stats {
 	st.WorkerSpawns, st.GroupReuses = e.spawns, e.reuses
 	e.poolMu.Unlock()
 	return st
-}
-
-// StderrProgress returns a Progress callback that renders a per-batch
-// "label: done/total" meter on stderr, or nil when enabled is false. It is
-// the shared implementation behind the CLIs' -progress flag. The done = -1
-// abort signal terminates the meter line so a following error message
-// starts on a fresh line.
-func StderrProgress(enabled bool) func(label string, done, total int) {
-	if !enabled {
-		return nil
-	}
-	return func(label string, done, total int) {
-		if done < 0 {
-			fmt.Fprintln(os.Stderr)
-			return
-		}
-		if label == "" {
-			label = "experiment batch"
-		}
-		fmt.Fprintf(os.Stderr, "\r  %s: %d/%d", label, done, total)
-		if done == total {
-			fmt.Fprintln(os.Stderr)
-		}
-	}
 }

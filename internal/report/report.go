@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -119,6 +121,25 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// SaveCSV writes the table as CSV to dir/name.csv, creating dir first.
+func (t *Table) SaveCSV(dir, name string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("csv: %w", err)
+	}
+	f, err := os.Create(filepath.Join(dir, name+".csv"))
+	if err != nil {
+		return fmt.Errorf("csv: %w", err)
+	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return fmt.Errorf("csv: %s: %w", f.Name(), err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("csv: %w", err)
+	}
+	return nil
 }
 
 // Bars renders a horizontal bar chart: one labelled bar per value, scaled
