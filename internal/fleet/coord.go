@@ -269,8 +269,10 @@ func (c *Coordinator) grant(ce *cell, w *workerInfo, now time.Time, steal bool) 
 	}
 }
 
-// retryMillis suggests the wait-poll delay: a quarter TTL keeps waiters
-// responsive without hammering the coordinator. Callers hold c.mu.
+// retryMillis suggests the longest wait-poll delay: workers poll from
+// the 25 ms floor and back off up to it, and a quarter TTL bounds how
+// long a waiter can miss a completion without hammering the coordinator.
+// Callers hold c.mu.
 func (c *Coordinator) retryMillis() int64 {
 	ms := (c.opts.LeaseTTL / 4).Milliseconds()
 	if ms < 25 {

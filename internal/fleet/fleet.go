@@ -13,8 +13,12 @@
 //
 //   - run: the worker got a bounded-TTL lease — compute, publish the
 //     result synchronously through the shared cache, then ack.
-//   - wait: another worker holds the lease — sleep briefly, recheck the
-//     cache tiers (its result lands there), claim again.
+//   - wait: another worker holds the lease. A worker walking a batch
+//     sets the cell aside and claims the next one, revisiting it at the
+//     end of the batch, when it is usually a cache hit; a worker that must
+//     block polls — rechecking the cache tiers, where the holder's result
+//     lands, then claiming again — from 25 ms up to the suggested
+//     interval (RetryMillis, a quarter TTL).
 //   - done/failed/abort: terminal verdicts for the cell or campaign.
 //
 // Leases expire when their worker misses its heartbeat window, and the

@@ -8,6 +8,7 @@
 package lab
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -72,13 +73,14 @@ func newFleetClient(t *testing.T, url, worker string, mod func(*fleet.ClientOpti
 	return c
 }
 
-// newWorker assembles one campaign worker: an executor whose remote tier
-// and fleet link both point at srvURL, as -worker-of would build it.
-func newWorker(t *testing.T, srvURL, name string, mod func(*fleet.ClientOptions)) *Executor {
+// newWorker assembles one campaign worker: an executor with the given
+// pool size whose remote tier and fleet link both point at srvURL, as
+// -worker-of would build it.
+func newWorker(t *testing.T, srvURL, name string, workers int) *Executor {
 	t.Helper()
 	rc := newRemoteClient(t, srvURL, nil)
-	fc := newFleetClient(t, srvURL, name, mod)
-	ex := New(Config{Workers: 2, Remote: rc, Fleet: fc})
+	fc := newFleetClient(t, srvURL, name, nil)
+	ex := New(Config{Workers: workers, Remote: rc, Fleet: fc})
 	t.Cleanup(ex.Close)
 	return ex
 }
@@ -99,17 +101,20 @@ func runCampaignE(ex *Executor, cells int) ([]cacheResult, error) {
 	return out, nil
 }
 
-// Three workers race one grid; every worker prints the full report and
-// all of them are bit-identical to the fleet-less baseline, with each
-// cell computed under exactly one accepted lease.
-func TestFleetCampaignSplitsWork(t *testing.T) {
+// Three workers race one grid cell by cell, outside any batch — the
+// blocking claim path. Every worker prints the full report and all of them
+// are bit-identical to the fleet-less baseline, with each cell computed
+// under exactly one accepted lease. (Outside a batch a worker told to wait
+// blocks, so one worker may well lease every cell; TestFleetBatchSplitsWork
+// checks the split.)
+func TestFleetSerialCampaignLeasesEachCellOnce(t *testing.T) {
 	const cells, workers = 12, 3
 	srv, co, _, _ := startFleetServer(t, fleet.Options{LeaseTTL: 5 * time.Second})
 	want := baseline(t, cells)
 
 	exs := make([]*Executor, workers)
 	for w := range exs {
-		exs[w] = newWorker(t, srv.URL, fmt.Sprintf("w%d", w), nil)
+		exs[w] = newWorker(t, srv.URL, fmt.Sprintf("w%d", w), 2)
 	}
 	outs := make([][]cacheResult, workers)
 	errs := make([]error, workers)
@@ -159,7 +164,7 @@ func TestFleetAbandonedLeaseIsReleased(t *testing.T) {
 		t.Fatalf("crasher claim = %+v", d)
 	}
 
-	got, err := runCampaignE(newWorker(t, srv.URL, "survivor", nil), cells)
+	got, err := runCampaignE(newWorker(t, srv.URL, "survivor", 2), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +199,7 @@ func TestFleetStalledCellIsStolen(t *testing.T) {
 		t.Fatalf("staller claim = %+v", d)
 	}
 
-	got, err := runCampaignE(newWorker(t, srv.URL, "thief", nil), cells)
+	got, err := runCampaignE(newWorker(t, srv.URL, "thief", 2), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +229,7 @@ func TestFleetCoordinatorRestartMidCampaign(t *testing.T) {
 	srv, coA, st, swap := startFleetServer(t, fleet.Options{LeaseTTL: 5 * time.Second})
 	want := baseline(t, cells)
 
-	ex := newWorker(t, srv.URL, "w1", nil)
+	ex := newWorker(t, srv.URL, "w1", 2)
 	firstHalf, err := runCampaignE(ex, cells/2)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +254,7 @@ func TestFleetCoordinatorRestartMidCampaign(t *testing.T) {
 	// A worker joining after the restart needs no leases at all: every
 	// cell is a remote-tier hit, and the new coordinator never hears of
 	// them.
-	late := newWorker(t, srv.URL, "latecomer", nil)
+	late := newWorker(t, srv.URL, "latecomer", 2)
 	got2, err := runCampaignE(late, cells)
 	if err != nil {
 		t.Fatal(err)
@@ -304,5 +309,196 @@ func TestFleetPartitionedWorkerRunsSolo(t *testing.T) {
 	sum := ex.FleetSummary()
 	if sum == "" {
 		t.Fatal("empty fleet summary")
+	}
+}
+
+// runBatchE resolves the campaign's cells as one executor batch — the
+// shape of every grid the experiment packages run — with each cell's
+// compute taking cellTime.
+func runBatchE(ex *Executor, cells int, cellTime time.Duration) ([]cacheResult, error) {
+	out := make([]cacheResult, cells)
+	err := ex.RunLabeled("chaos batch", cells, func(i int) error {
+		v, err := Memo(ex, KeyOf("remote-fault-cell", i), func() (cacheResult, error) {
+			time.Sleep(cellTime)
+			return campaignCell(i), nil
+		})
+		if err != nil {
+			return fmt.Errorf("cell %d: %w", i, err)
+		}
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Two workers run the same batch. A worker told to wait parks the cell
+// and claims the next one instead of trailing its peer, so both lease
+// work, and every cell is still computed under exactly one lease with the
+// report bit-identical to the fleet-less baseline — serially and on a
+// pool.
+func TestFleetBatchSplitsWork(t *testing.T) {
+	const cells = 16
+	want := baseline(t, cells)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			srv, co, _, _ := startFleetServer(t, fleet.Options{LeaseTTL: 5 * time.Second})
+			exs := []*Executor{
+				newWorker(t, srv.URL, "a", workers),
+				newWorker(t, srv.URL, "b", workers),
+			}
+			// Parked cells are reported once, when they finally complete.
+			reported := make([][]int, len(exs))
+			for w, ex := range exs {
+				ex.progress = func(_ string, done, _ int) { reported[w] = append(reported[w], done) }
+			}
+			outs := make([][]cacheResult, len(exs))
+			errs := make([]error, len(exs))
+			var wg sync.WaitGroup
+			for w := range exs {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					outs[w], errs[w] = runBatchE(exs[w], cells, 20*time.Millisecond)
+				}(w)
+			}
+			wg.Wait()
+
+			var leased uint64
+			for w, ex := range exs {
+				if errs[w] != nil {
+					t.Fatalf("worker %d: %v", w, errs[w])
+				}
+				wantIdentical(t, outs[w], want)
+				fs := ex.Fleet().Stats()
+				if fs.Leased < 1 || fs.Degraded != 0 {
+					t.Fatalf("worker %d: %s; want at least one lease and no degradation", w, ex.FleetSummary())
+				}
+				leased += fs.Leased
+				if r := reported[w]; len(r) != cells || r[len(r)-1] != cells {
+					t.Fatalf("worker %d: progress reported %v, want 1..%d", w, r, cells)
+				}
+				if st := ex.Stats(); st.Computed+st.RemoteHits != cells {
+					t.Fatalf("worker %d: computed %d + remote hits %d, want %d cells", w, st.Computed, st.RemoteHits, cells)
+				}
+			}
+			if s := co.Status(); leased != cells || s.CellsDone != cells || s.Failed != 0 {
+				t.Fatalf("leased = %d (want %d), coordinator status = %+v", leased, cells, s)
+			}
+		})
+	}
+}
+
+// holdCell makes a peer worker claim key and compute v under a lease. It
+// returns once the peer holds the lease; the peer finishes, publishes and
+// acks when release is called, and done closes after that.
+func holdCell(t *testing.T, srvURL string, key Key, v cacheResult) (release func(), done <-chan struct{}) {
+	t.Helper()
+	peer := newWorker(t, srvURL, "peer-"+string(key[:8]), 1)
+	leased, rel, fin := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(fin)
+		if _, err := Memo(peer, key, func() (cacheResult, error) {
+			close(leased)
+			<-rel
+			return v, nil
+		}); err != nil {
+			t.Errorf("peer: %v", err)
+		}
+	}()
+	<-leased
+	return func() { close(rel) }, fin
+}
+
+// awaitWaited blocks until ex has been told to wait at least once.
+func awaitWaited(t *testing.T, ex *Executor) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for ex.Fleet().Stats().Waited == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker was never told to wait")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A Do outside any batch — the serial loop of runCampaignE — never parks:
+// told to wait, it polls until the peer's result lands and returns it.
+func TestFleetBareMemoBlocksNotParks(t *testing.T) {
+	srv, _, _, _ := startFleetServer(t, fleet.Options{LeaseTTL: 5 * time.Second})
+	key := KeyOf("remote-fault-cell", 0)
+	release, peerDone := holdCell(t, srv.URL, key, campaignCell(0))
+
+	ex := newWorker(t, srv.URL, "waiter", 1)
+	var got cacheResult
+	var err error
+	waiterDone := make(chan struct{})
+	go func() {
+		defer close(waiterDone)
+		got, err = Memo(ex, key, func() (cacheResult, error) {
+			return cacheResult{}, fmt.Errorf("waiter computed a cell its peer holds")
+		})
+	}()
+	awaitWaited(t, ex)
+	release()
+	<-waiterDone
+	<-peerDone
+	if err != nil {
+		t.Fatalf("bare Memo: %v", err)
+	}
+	wantIdentical(t, []cacheResult{got}, []cacheResult{campaignCell(0)})
+	if st := ex.Stats(); st.RemoteHits != 1 || st.Computed != 0 {
+		t.Fatalf("stats = %+v, want one remote hit", st)
+	}
+}
+
+// A batch cell's leased compute issues a nested Memo on a key a peer
+// holds. The nested call cannot park — its enclosing cell already holds a
+// lease and cannot be set aside half-computed — so it blocks and returns
+// the peer's value.
+func TestFleetNestedDoBlocksNotParks(t *testing.T) {
+	srv, co, _, _ := startFleetServer(t, fleet.Options{LeaseTTL: 5 * time.Second})
+	for _, workers := range []int{1, 2} {
+		inner := KeyOf("remote-fault-cell", "inner", workers)
+		release, peerDone := holdCell(t, srv.URL, inner, campaignCell(7))
+		ex := newWorker(t, srv.URL, fmt.Sprintf("nester-%d", workers), workers)
+		var got cacheResult
+		var err error
+		batchDone := make(chan struct{})
+		go func() {
+			defer close(batchDone)
+			err = ex.RunLabeled("nested", 1, func(int) error {
+				outer, err := Memo(ex, KeyOf("remote-fault-cell", "outer", workers), func() (cacheResult, error) {
+					v, err := Memo(ex, inner, func() (cacheResult, error) {
+						return cacheResult{}, fmt.Errorf("nested compute ran on a cell its peer holds")
+					})
+					if errors.Is(err, errParked) {
+						t.Error("nested Memo parked")
+					}
+					return v, err
+				})
+				got = outer
+				return err
+			})
+		}()
+		awaitWaited(t, ex)
+		release()
+		<-batchDone
+		<-peerDone
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		wantIdentical(t, []cacheResult{got}, []cacheResult{campaignCell(7)})
+		if n := ex.fleetParked.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d cells parked, want 0", workers, n)
+		}
+		if fs := ex.Fleet().Stats(); fs.Leased != 1 {
+			t.Fatalf("workers=%d: %+v, want only the outer cell leased", workers, fs)
+		}
+	}
+	if s := co.Status(); s.CellsDone != 4 || s.Failed != 0 {
+		t.Fatalf("coordinator status = %+v, want two inner and two outer cells done", s)
 	}
 }

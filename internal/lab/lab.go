@@ -30,9 +30,11 @@ package lab
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -150,11 +152,12 @@ type Config struct {
 	// distributed campaign: a cell that misses every cache tier is claimed from the
 	// coordinator before computing, computed results are published
 	// synchronously through the remote tier before the lease is acked,
-	// and cells leased to other workers are waited out and then read
-	// from the shared cache. An unreachable coordinator degrades every
-	// claim to solo compute — a fleet can make a campaign faster, never
-	// wrong (see package fleet). The executor does not own the client;
-	// close it after the executor.
+	// and cells leased to other workers are read from the shared cache
+	// once their holder publishes them — a batch steps past such a cell
+	// and comes back to it at the end, anything else waits it out. An
+	// unreachable coordinator degrades every claim to solo compute — a
+	// fleet can make a campaign faster, never wrong (see package fleet).
+	// The executor does not own the client; close it after the executor.
 	Fleet *fleet.Client
 }
 
@@ -189,6 +192,9 @@ type Executor struct {
 	// attached (coordinator unreachable, or a peer's result unfetchable) —
 	// the degraded-but-correct path.
 	fleetSolo atomic.Uint64
+	// fleetParked counts batch cells set aside behind a peer's lease, once
+	// per parked attempt (see RunLabeled).
+	fleetParked atomic.Uint64
 
 	// interrupted stops new cells from dispatching (graceful shutdown);
 	// see Interrupt.
@@ -224,11 +230,13 @@ type workerPool struct {
 }
 
 // poolTask is one job index of one batch. submitNs is the task's
-// enqueue timestamp when span timing is active, zero otherwise.
+// enqueue timestamp when span timing is active, zero otherwise; block
+// runs the cell non-parkable (see RunLabeled).
 type poolTask struct {
 	b        *poolBatch
 	i        int
 	submitNs int64
+	block    bool
 }
 
 // poolBatch is the shared state of one RunLabeled call in flight.
@@ -243,6 +251,7 @@ type poolBatch struct {
 	errMu  sync.Mutex
 	errIdx int
 	errVal error
+	parked []int // indices set aside this pass, guarded by errMu
 }
 
 // fail records job i's error, keeping the lowest-indexed one.
@@ -253,6 +262,13 @@ func (b *poolBatch) fail(i int, err error) {
 	}
 	b.errMu.Unlock()
 	b.failed.Store(true)
+}
+
+// park records that job i was set aside behind a peer's lease.
+func (b *poolBatch) park(i int) {
+	b.errMu.Lock()
+	b.parked = append(b.parked, i)
+	b.errMu.Unlock()
 }
 
 // run executes one claimed task, skipping the job if its batch already
@@ -273,8 +289,12 @@ func (t poolTask) run() {
 		mQueueWait.Observe(telemetry.NowNs() - t.submitNs)
 	}
 	mWorkersBusy.Add(1)
-	err := t.b.ex.runCell(t.b.label, t.i, t.b.job)
+	err := t.b.ex.runCell(t.b.label, t.i, t.b.job, !t.block)
 	mWorkersBusy.Add(-1)
+	if errors.Is(err, errParked) {
+		t.b.park(t.i)
+		return
+	}
 	if err != nil {
 		t.b.fail(t.i, err)
 		return
@@ -284,13 +304,12 @@ func (t poolTask) run() {
 
 // runCell executes one cell under the batch's pprof label, timing the
 // start→done span when telemetry is active. With a fleet attached, the
-// batch label is also parked in the goroutine-keyed label table so the
-// memo layer (Do has no label parameter) can attribute its claims.
-func (e *Executor) runCell(label string, i int, job func(i int) error) error {
-	if e.fleet != nil && label != "" {
-		id := goid()
-		cellLabels.Store(id, label)
-		defer cellLabels.Delete(id)
+// batch label and whether the cell may park are also installed in the
+// goroutine-keyed cell table, so the memo layer (Do has no batch
+// parameter) can attribute its claims and step past a peer's lease.
+func (e *Executor) runCell(label string, i int, job func(i int) error, parkable bool) error {
+	if e.fleet != nil {
+		defer enterCell(cellCtx{label: label, parkable: parkable})()
 	}
 	var err error
 	timed := telemetry.Active()
@@ -385,7 +404,12 @@ func (e *Executor) Run(n int, job func(i int) error) error {
 // long experiment campaigns legible. Once any job returns an error no
 // further jobs start (jobs already running complete), and the call returns
 // the error of the lowest-indexed failed job. Jobs must write their results
-// by index into caller-owned storage; no output ordering is imposed.
+// by index into caller-owned storage; no output ordering is imposed. On a
+// fleet worker a job whose cell a peer is computing is set aside rather
+// than waited for, and rerun once the rest of the batch is done: Do hands
+// the job an internal error that the job must return (bare or wrapped
+// with %w), and the job must be safe to rerun from the start, as
+// deterministic cells writing by index are.
 func (e *Executor) RunLabeled(label string, n int, job func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -417,32 +441,81 @@ func (e *Executor) RunLabeled(label string, n int, job func(i int) error) error 
 
 	mBatches.Inc()
 
-	// Workers: 1 is the serial reference ordering; it runs inline with no
-	// pool (and no other goroutine can exist to share the bound with).
-	if e.workers == 1 {
-		for i := 0; i < n; i++ {
-			if e.interrupted.Load() {
-				abort()
-				return ErrInterrupted
-			}
-			if err := e.runCell(label, i, job); err != nil {
-				abort()
-				return err
-			}
-			report()
-		}
-		return nil
+	// A pass runs the given indices (nil: the whole batch) and returns the
+	// ones that parked behind a peer's lease. Only a fleet worker parks, so
+	// a fleet-less batch is exactly one pass. Revisit rounds run their
+	// first index non-parkable — it blocks until the peer's result lands —
+	// so every round makes progress; the rest are usually cache hits by
+	// then.
+	var pool *workerPool
+	if e.workers > 1 {
+		pool = e.ensurePool()
 	}
+	pass := func(idx []int) ([]int, error) {
+		if pool == nil {
+			return e.passInline(label, n, idx, job, report)
+		}
+		return e.passPool(pool, label, n, idx, job, report)
+	}
+	parked, err := pass(nil)
+	for err == nil && len(parked) > 0 {
+		e.fleetParked.Add(uint64(len(parked)))
+		parked, err = pass(parked)
+	}
+	if err != nil {
+		abort()
+	}
+	return err
+}
 
+// passInline is one pass of a Workers: 1 batch: the serial reference
+// ordering, run inline with no pool (and no other goroutine can exist to
+// share the bound with). It stops at the first failure.
+func (e *Executor) passInline(label string, n int, idx []int, job func(i int) error, report func()) ([]int, error) {
+	var parked []int
+	if idx != nil {
+		n = len(idx)
+	}
+	for j := 0; j < n; j++ {
+		i := j
+		if idx != nil {
+			i = idx[j]
+		}
+		if e.interrupted.Load() {
+			return nil, ErrInterrupted
+		}
+		err := e.runCell(label, i, job, idx == nil || j > 0)
+		if errors.Is(err, errParked) {
+			parked = append(parked, i)
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		report()
+	}
+	return parked, nil
+}
+
+// passPool is one pass of a parallel batch on the resident pool. It
+// returns the error of the lowest-indexed failed job, or the parked
+// indices in ascending order.
+func (e *Executor) passPool(pool *workerPool, label string, n int, idx []int, job func(i int) error, report func()) ([]int, error) {
 	b := &poolBatch{ex: e, label: label, job: job, report: report, errIdx: -1}
-	pool := e.ensurePool()
+	if idx != nil {
+		n = len(idx)
+	}
 	// Feed one task per index into the pool's queue: only the resident
 	// workers execute tasks, so the worker count bounds concurrency across
 	// overlapping batches, and the FIFO queue interleaves their jobs fairly.
 	// On failure stop feeding; tasks already queued or handed to workers
 	// check the failed flag before running.
 	timed := telemetry.Active()
-	for i := 0; i < n && !b.failed.Load(); i++ {
+	for j := 0; j < n && !b.failed.Load(); j++ {
+		i := j
+		if idx != nil {
+			i = idx[j]
+		}
 		if e.interrupted.Load() {
 			// Graceful shutdown: stop dispatching, let queued/in-flight
 			// tasks drain through the failed-batch path below. A real cell
@@ -456,13 +529,14 @@ func (e *Executor) RunLabeled(label string, n int, job func(i int) error) error 
 		}
 		b.wg.Add(1)
 		mQueueDepth.Add(1)
-		pool.tasks <- poolTask{b: b, i: i, submitNs: submitNs}
+		pool.tasks <- poolTask{b: b, i: i, submitNs: submitNs, block: idx != nil && j == 0}
 	}
 	b.wg.Wait()
 	if b.errVal != nil {
-		abort()
+		return nil, b.errVal
 	}
-	return b.errVal
+	slices.Sort(b.parked)
+	return b.parked, nil
 }
 
 // Progress feeds one externally sequenced unit of work to the executor's
@@ -491,6 +565,20 @@ func (e *Executor) Progress(label string, done, total int) {
 // captures every input fn's result depends on — an under-specified key
 // silently returns a wrong cached result.
 func (e *Executor) Do(key Key, fn func() (any, error)) (any, error) {
+	for {
+		v, err := e.do(key, fn)
+		// A parked attempt (see fleetResolve) reaches only goroutines
+		// running a parkable batch cell; anyone else who shared the parked
+		// once claims afresh.
+		if errors.Is(err, errParked) && !currentCell().parkable {
+			continue
+		}
+		return v, err
+	}
+}
+
+// do is one attempt of Do.
+func (e *Executor) do(key Key, fn func() (any, error)) (any, error) {
 	e.mu.Lock()
 	ent, ok := e.memo[key]
 	if !ok {
@@ -514,6 +602,15 @@ func (e *Executor) Do(key Key, fn func() (any, error)) (any, error) {
 		}
 		if e.fleet != nil {
 			ent.value, ent.err, hitTier, ran, wrote = e.fleetResolve(key, fn)
+			if errors.Is(ent.err, errParked) {
+				// Nothing was resolved: drop the entry so the revisit claims
+				// afresh (unless a later attempt already replaced it).
+				e.mu.Lock()
+				if e.memo[key] == ent {
+					delete(e.memo, key)
+				}
+				e.mu.Unlock()
+			}
 			return
 		}
 		ent.value, ent.err = fn()
@@ -522,6 +619,9 @@ func (e *Executor) Do(key Key, fn func() (any, error)) (any, error) {
 			wrote = e.cachePut(key, ent.value)
 		}
 	})
+	if errors.Is(ent.err, errParked) {
+		return nil, errParked // counted nowhere: the revisit is the real lookup
+	}
 
 	// Attribute the span to the tier that resolved it. Callers that merely
 	// waited out another goroutine's once.Do count as memo hits (their span

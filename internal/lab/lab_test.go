@@ -268,6 +268,28 @@ func TestKeyOfDiscriminates(t *testing.T) {
 	}
 }
 
+// TestKeyOfIsPinned pins the hex KeyOf renders for a fixed mix of
+// argument kinds. Fleet workers on different hosts, and a store filled by
+// an older build, agree on a cell only because the key is the same
+// everywhere, so a change to KeyOf's rendering must fail here. The pin
+// moves only together with ResultSchemaVersion, which retires every
+// stored key at once.
+func TestKeyOfIsPinned(t *testing.T) {
+	type spec struct {
+		Name  string
+		Lines int64
+		Rate  float64
+		On    bool
+	}
+	got := KeyOf(spec{Name: "l3", Lines: 4096, Rate: 2.8, On: true}, nil,
+		[]int64{0, -1, 1 << 40}, "bwthr-ladder", 1.5e-9, false)
+	const want = "36223fcd931d4a20a2d54fa78828c43044e5dd1ec7a327d3e4f4e4fd58617feb"
+	if got != want {
+		t.Fatalf("KeyOf = %s, want %s (schema %s): key rendering changed; bump ResultSchemaVersion with the pin",
+			got, want, ResultSchemaVersion)
+	}
+}
+
 func TestRunEmptyBatch(t *testing.T) {
 	e := New(Config{})
 	if err := e.Run(0, func(int) error { return errors.New("never") }); err != nil {
