@@ -58,7 +58,11 @@ func BenchmarkTable1Machine(b *testing.B) {
 
 func BenchmarkTable2Distributions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		dump(b, "table2", experiments.TableII(benchOpt).String())
+		t, err := experiments.TableII(benchOpt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dump(b, "table2", t.String())
 	}
 }
 

@@ -78,7 +78,9 @@ func main() {
 		fmt.Println(experiments.TableI(opt))
 	}
 	if all || want["table2"] {
-		emit("table2", experiments.TableII(opt))
+		t, err := experiments.TableII(opt)
+		c.Check(err)
+		emit("table2", t)
 	}
 	if all || want["3a"] {
 		r, err := experiments.SecIIIA(opt)

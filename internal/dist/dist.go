@@ -13,6 +13,8 @@ package dist
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"activemem/internal/xrand"
 )
@@ -46,7 +48,7 @@ func NumLines(d Dist, elemsPerLine int64) int64 {
 
 // LineMasses returns F(j), the probability that one access falls in cache
 // line j, for every line of the buffer. This is the f vector of the EHR
-// model (§III-C1).
+// model (§III-C1), and the reference SumSquaredLineMass is tested against.
 func LineMasses(d Dist, elemsPerLine int64) []float64 {
 	lines := NumLines(d, elemsPerLine)
 	n := d.N()
@@ -65,11 +67,61 @@ func LineMasses(d Dist, elemsPerLine int64) []float64 {
 }
 
 // SumSquaredLineMass returns the Σ_j F(j)² term of Eq. 4 for the
-// distribution at the given line geometry.
+// distribution at the given line geometry. The value depends only on its
+// arguments, so for the Table II types it is computed once per process and
+// shared by every later call; any other Dist is computed on each call.
 func SumSquaredLineMass(d Dist, elemsPerLine int64) float64 {
-	sum := 0.0
-	for _, f := range LineMasses(d, elemsPerLine) {
+	switch d.(type) {
+	case Normal, Exponential, Triangular, Uniform:
+	default:
+		return sumSquared(d, elemsPerLine)
+	}
+	k := sumSqKey{d, elemsPerLine}
+	v, ok := sumSqMemo.Load(k)
+	if !ok {
+		v, _ = sumSqMemo.LoadOrStore(k, sync.OnceValue(func() float64 {
+			return sumSquared(d, elemsPerLine)
+		}))
+	}
+	return v.(func() float64)()
+}
+
+// sumSqKey identifies one memoized Σf²: the distribution value itself (its
+// parameters, not its Table II label) and the line geometry.
+type sumSqKey struct {
+	d            Dist
+	elemsPerLine int64
+}
+
+// sumSqMemo maps a sumSqKey to the sync.OnceValue computing its Σf², so
+// concurrent first callers share one walk.
+var sumSqMemo sync.Map
+
+// walks counts the Σf² walks this process has run.
+var walks atomic.Uint64
+
+// SumSquaredWalks returns how many times this process has walked a
+// distribution's cache lines to compute Σf²: once per distinct Table II
+// distribution and geometry, plus once per call for any other Dist.
+func SumSquaredWalks() uint64 { return walks.Load() }
+
+// sumSquared walks the lines of d and sums F(j)² without materialising
+// LineMasses. It performs the same subtractions and additions in the same
+// order as summing LineMasses, so the result is bit-identical to it.
+func sumSquared(d Dist, elemsPerLine int64) float64 {
+	walks.Add(1)
+	lines := NumLines(d, elemsPerLine)
+	n := d.N()
+	sum, prev := 0.0, 0.0
+	for j := int64(0); j < lines; j++ {
+		end := (j + 1) * elemsPerLine
+		if end > n {
+			end = n
+		}
+		c := d.CDF(end)
+		f := c - prev
 		sum += f * f
+		prev = c
 	}
 	return sum
 }

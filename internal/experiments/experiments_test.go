@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
 
+	"activemem/internal/dist"
 	"activemem/internal/lab"
 	"activemem/internal/store"
 	"activemem/internal/units"
@@ -50,7 +53,10 @@ func TestTableIAndII(t *testing.T) {
 	if !strings.Contains(TableI(smoke()), "L3") {
 		t.Fatal("Table I missing L3")
 	}
-	tab := TableII(smoke())
+	tab, err := TableII(smoke())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 10 {
 		t.Fatalf("Table II has %d patterns, want 10", len(tab.Rows))
 	}
@@ -105,10 +111,16 @@ func TestFig5Shape(t *testing.T) {
 	}
 }
 
+// TestFig6Shape runs Fig. 5 and then Fig. 6 on one store-backed executor,
+// as validate does. Fig. 5's cells are Fig. 6's k=0 cells, so Fig. 5 adds no
+// simulation; the filled store then feeds a warm rerun in a fresh process
+// (TestWarmFig5Fig6Helper), which must walk each distinct Σf² exactly once.
 func TestFig6Shape(t *testing.T) {
-	r, err := Fig6(smoke())
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	walks := dist.SumSquaredWalks()
+	_, r := fig5ThenFig6(t, dir)
+	if got, keys := dist.SumSquaredWalks()-walks, smokeSumSqKeys(); got > uint64(keys) {
+		t.Errorf("Fig. 5 then Fig. 6 walked Σf² %d times for %d distinct keys", got, keys)
 	}
 	if len(r.PerCompute) != 1 { // smoke grid: compute=1 only
 		t.Fatalf("compute intensities = %v", r.Computes)
@@ -128,6 +140,78 @@ func TestFig6Shape(t *testing.T) {
 	if len(r.Tables()) != 1 {
 		t.Error("table rendering")
 	}
+
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skip("cannot locate test binary:", err)
+	}
+	cmd := exec.Command(exe, "-test.run", "^TestWarmFig5Fig6Helper$", "-test.v")
+	cmd.Env = append(os.Environ(), warmFigDirEnv+"="+dir)
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "--- PASS: TestWarmFig5Fig6Helper") {
+		t.Fatalf("warm rerun: %v\n%s", err, out)
+	}
+}
+
+const warmFigDirEnv = "ACTIVEMEM_TEST_WARM_FIG_DIR"
+
+// TestWarmFig5Fig6Helper is the child side of TestFig6Shape; it only runs
+// when re-exec'd with the filled store in the environment. A fresh process
+// has walked no Σf², so the count here is exact: the warm rerun simulates
+// nothing and computes Eq. 4's Σf² once per (distribution, N, geometry).
+func TestWarmFig5Fig6Helper(t *testing.T) {
+	dir := os.Getenv(warmFigDirEnv)
+	if dir == "" {
+		t.Skip("helper: run via TestFig6Shape")
+	}
+	walks := dist.SumSquaredWalks()
+	st, _ := fig5ThenFig6(t, dir)
+	if st.Computed != 0 {
+		t.Fatalf("warm rerun computed %d cells, want 0", st.Computed)
+	}
+	if got, keys := dist.SumSquaredWalks()-walks, smokeSumSqKeys(); got != uint64(keys) {
+		t.Fatalf("warm Fig. 5 then Fig. 6 walked Σf² %d times, want one per distinct key (%d)", got, keys)
+	}
+}
+
+// fig5ThenFig6 runs the smoke Fig. 5 and Fig. 6 on one executor backed by
+// the store in dir and returns the executor's counters and Fig. 6.
+func fig5ThenFig6(t *testing.T, dir string) (lab.Stats, Fig6Result) {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{Schema: lab.ResultSchemaVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	opt := smoke()
+	opt.Exec = lab.New(lab.Config{Cache: st})
+	defer opt.Exec.Close()
+	if _, err := Fig5(opt); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Fig6(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opt.Exec.Stats(), r
+}
+
+// smokeSumSqKeys counts the distinct (distribution, N, geometry) keys of the
+// smoke calibration grid.
+func smokeSumSqKeys() int {
+	spec := smoke().Spec()
+	bufs, dists := calibGrid(spec, GridSmoke)
+	type key struct {
+		d   dist.Dist
+		epl int64
+	}
+	keys := map[key]bool{}
+	for _, b := range bufs {
+		for _, mk := range dists {
+			keys[key{mk(b / 4), spec.LineSize() / 4}] = true
+		}
+	}
+	return len(keys)
 }
 
 func TestFig7Flatness(t *testing.T) {

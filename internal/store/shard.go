@@ -217,14 +217,15 @@ func (sh *shard) loadLocked() error {
 	}
 }
 
-// writeHeaderLocked initialises an empty segment. File lock held.
+// writeHeaderLocked initialises an empty segment. File lock held. The
+// header is not fsynced here: the fsync of the shard's first acknowledged
+// put makes it durable, and a crash before that leaves an empty or
+// unreadable header that the next open lays down again, losing no
+// acknowledged put.
 func (sh *shard) writeHeaderLocked() error {
 	st := sh.state.Load()
 	hdr := encodeHeader(sh.schema)
 	if _, err := st.f.WriteAt(hdr, 0); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := st.f.Sync(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	sh.state.Store(&shardState{f: st.f, index: st.index,

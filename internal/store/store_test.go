@@ -176,6 +176,37 @@ func TestTruncatedSegmentRecovers(t *testing.T) {
 	wantEntry(t, s3, "key-d", "t", "delta")
 }
 
+// TestEmptiedHeaderRelaidOnOpen simulates a crash between laying down a new
+// store's shard headers and its first put: headers are not fsynced, so a
+// segment may come back with zero bytes. The next open must lay the header
+// down again without reporting a reset, and the shard must accept puts.
+func TestEmptiedHeaderRelaidOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	seg := s.shardFor("key-a").segPath
+	s.Close()
+	if err := os.Truncate(seg, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openT(t, dir)
+	if s2.ResetOnOpen() {
+		t.Fatal("re-laying an empty header reported a reset")
+	}
+	if s2.Len() != 0 {
+		t.Fatalf("reopened store holds %d entries, want 0", s2.Len())
+	}
+	put(t, s2, "key-a", "t", "alpha")
+	s2.Close()
+
+	s3 := openT(t, dir)
+	defer s3.Close()
+	if s3.ResetOnOpen() {
+		t.Fatal("reopen after the first put reported a reset")
+	}
+	wantEntry(t, s3, "key-a", "t", "alpha")
+}
+
 // TestFlippedPayloadByteSkipsOnlyThatEntry pins the corruption policy: a
 // checksum mismatch drops the damaged entry (its cell recomputes) while
 // entries before and after stay reachable.
